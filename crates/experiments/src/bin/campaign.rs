@@ -1,257 +1,130 @@
-//! Fleet-scale configuration-sweep campaign driver.
+//! Configuration-sweep campaign driver.
 //!
-//! Coordinator mode (the default) prepares the campaign directory,
-//! fans the pending cells out over `--procs` worker *processes* (each
-//! running `SWAPRAM_JOBS` worker threads), merges the shards into the
-//! deterministic `BENCH_campaign.json`, and prints the percentile/pareto
-//! report. Killed or truncated campaigns resume where they left off:
-//! completed cells are never rerun.
+//! Runs every cell of a sweep preset on `SWAPRAM_JOBS` worker threads,
+//! writes the deterministic `BENCH_campaign.json`, and prints the
+//! percentile/pareto report.
 //!
 //! ```text
-//! campaign [--spec tiny|fast|full] [--procs N] [--dir DIR] [--json PATH]
-//!          [--base-seed N] [--max-cells N] [--fresh]
+//! campaign [--spec tiny|fast|full] [--json PATH] [--base-seed N]
 //! campaign --summary [--json PATH] [--out BENCHMARKS.md]
-//! campaign --worker --worker-id I --procs N --spec S --dir D --base-seed N
 //! ```
 //!
 //! Flags / environment:
 //! - `--spec`: sweep preset (default `fast`; `full` is the ≥1000-cell
-//!   fleet tier).
-//! - `--procs`: worker processes (default 1 = run cells in-process).
-//! - `--dir`: campaign state directory (default `campaign-<spec>`):
-//!   manifest, claim files and result shards live here.
-//! - `--json`: merged output path (default `BENCH_campaign.json`). A
+//!   tier).
+//! - `--json`: output path (default `BENCH_campaign.json`). A
 //!   `<path>.exec.json` sidecar carries the *non-deterministic* execution
-//!   stats (wall-clock, process/thread counts) so the main document stays
-//!   byte-identical across worker counts.
+//!   stats (wall-clock, thread count, cache counters) so the main
+//!   document stays byte-identical across thread counts.
 //! - `--base-seed`: fault-schedule base seed (default `SWAPRAM_FAULT_SEED`
-//!   or 0xF00D). Coordinator and workers must agree; the manifest's spec
-//!   line enforces it.
-//! - `--max-cells N`: stop each worker after N cells (the kill/resume
-//!   test knob). The campaign exits 3 (incomplete) and resumes on rerun.
-//! - `--fresh`: discard the campaign directory first.
+//!   or 0xF00D).
 //! - `--summary`: skip execution; re-render `BENCHMARKS.md` and the
-//!   stdout report from an existing merged JSON.
-//! - `SWAPRAM_JOBS`: worker threads per process (default: all cores;
-//!   rejected with a clear error when 0 or malformed).
+//!   stdout report from an existing campaign JSON.
+//! - `SWAPRAM_JOBS`: worker threads (default: all cores; rejected with a
+//!   clear error when 0 or malformed).
 //!
-//! Exit codes: 0 complete, 1 I/O failure, 2 usage/environment error,
-//! 3 campaign incomplete (some cells still pending).
+//! Exit codes: 0 complete, 1 I/O failure, 2 usage/environment error
+//! (including unknown flags and flags missing their value).
 
-use experiments::campaign::{self, CampaignSpec, MergeOutcome};
+use experiments::campaign::{self, CampaignSpec};
 use experiments::{harness, json, resilience};
-use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::path::Path;
 use std::time::Instant;
-
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
-}
 
 fn usage(msg: &str) -> ! {
     eprintln!("campaign: {msg}");
-    eprintln!("usage: campaign [--spec tiny|fast|full] [--procs N] [--dir DIR] [--json PATH]");
-    eprintln!("                [--base-seed N] [--max-cells N] [--fresh]");
+    eprintln!("usage: campaign [--spec tiny|fast|full] [--json PATH] [--base-seed N]");
     eprintln!("       campaign --summary [--json PATH] [--out PATH]");
     std::process::exit(2);
 }
 
-fn parse_num<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
-    flag_value(args, name).map(|v| {
-        v.trim().parse::<T>().unwrap_or_else(|_| usage(&format!("bad {name} value {v:?}")))
-    })
+/// The parsed command line.
+struct Args {
+    spec: String,
+    json: String,
+    base_seed: Option<String>,
+    summary: bool,
+    out: String,
+}
+
+fn parse_args(raw: impl IntoIterator<Item = String>) -> Args {
+    let mut args = Args {
+        spec: "fast".into(),
+        json: "BENCH_campaign.json".into(),
+        base_seed: None,
+        summary: false,
+        out: "BENCHMARKS.md".into(),
+    };
+    let mut it = raw.into_iter();
+    while let Some(flag) = it.next() {
+        if flag == "--summary" {
+            args.summary = true;
+            continue;
+        }
+        let slot = match flag.as_str() {
+            "--spec" => &mut args.spec,
+            "--json" => &mut args.json,
+            "--out" => &mut args.out,
+            "--base-seed" => args.base_seed.insert(String::new()),
+            _ => usage(&format!("unknown flag {flag:?}")),
+        };
+        *slot = value(&flag, it.next());
+    }
+    args
+}
+
+/// The value following `flag`; a missing one (or another flag in its
+/// place) is a usage error.
+fn value(flag: &str, next: Option<String>) -> String {
+    match next {
+        Some(v) if !v.starts_with("--") => v,
+        _ => usage(&format!("{flag} needs a value")),
+    }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let spec_name = flag_value(&args, "--spec").unwrap_or_else(|| "fast".to_string());
-    let base_seed = parse_num::<u64>(&args, "--base-seed").unwrap_or_else(resilience::base_seed);
-    let Some(spec) = CampaignSpec::preset(&spec_name, base_seed) else {
-        usage(&format!("unknown spec {spec_name:?} (expected tiny, fast or full)"));
+    let args = parse_args(std::env::args().skip(1));
+    let base_seed = match &args.base_seed {
+        None => resilience::base_seed(),
+        Some(v) => {
+            v.trim().parse().unwrap_or_else(|_| usage(&format!("bad --base-seed value {v:?}")))
+        }
     };
-    let dir = PathBuf::from(
-        flag_value(&args, "--dir").unwrap_or_else(|| format!("campaign-{spec_name}")),
-    );
-    let json_path =
-        PathBuf::from(flag_value(&args, "--json").unwrap_or_else(|| "BENCH_campaign.json".into()));
-    let max_cells = parse_num::<usize>(&args, "--max-cells");
-    let procs = parse_num::<usize>(&args, "--procs").unwrap_or(1).max(1);
-
-    if args.iter().any(|a| a == "--summary") {
-        summarize(&json_path, &flag_value(&args, "--out").unwrap_or_else(|| "BENCHMARKS.md".into()));
+    let Some(spec) = CampaignSpec::preset(&args.spec, base_seed) else {
+        usage(&format!("unknown spec {:?} (expected tiny, fast or full)", args.spec));
+    };
+    let json_path = Path::new(&args.json);
+    if args.summary {
+        summarize(json_path, &args.out);
         return;
     }
-    if args.iter().any(|a| a == "--worker") {
-        let id = parse_num::<usize>(&args, "--worker-id")
-            .unwrap_or_else(|| usage("--worker requires --worker-id"));
-        worker(&dir, &spec, id, procs, max_cells);
-        return;
-    }
-    coordinate(&dir, &spec, procs, max_cells, &json_path, args.iter().any(|a| a == "--fresh"));
-}
 
-/// Worker-process entry point: claim chunks from the shared manifest and
-/// append finished rows to this worker's shard.
-fn worker(dir: &Path, spec: &CampaignSpec, id: usize, procs: usize, max_cells: Option<usize>) {
-    let label = format!("campaign[w{id}]");
-    let h = harness::announce(&label, &format!("spec {}", spec.name));
-    match campaign::worker_run(dir, spec, &h, id, procs, max_cells) {
-        Ok(written) => {
-            eprintln!("{label}: {written} cell(s) written");
-            harness::finish(&label, &h);
-        }
-        Err(e) => {
-            eprintln!("{label}: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Coordinator: prepare (or resume) the directory, run or spawn workers,
-/// merge, report.
-fn coordinate(
-    dir: &Path,
-    spec: &CampaignSpec,
-    procs: usize,
-    max_cells: Option<usize>,
-    json_path: &Path,
-    fresh: bool,
-) {
     let t0 = Instant::now();
-    if fresh && dir.exists() {
-        if let Err(e) = std::fs::remove_dir_all(dir) {
-            eprintln!("campaign: failed to clear {}: {e}", dir.display());
-            std::process::exit(1);
-        }
-    }
-    let h = harness::announce(
-        "campaign",
-        &format!("spec {}, {procs} process(es), dir {}", spec.name, dir.display()),
-    );
-    let prepared = match campaign::prepare_dir(dir, spec, procs) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("campaign: prepare failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    eprintln!(
-        "campaign: {} cells total, {} done, {} pending in {} chunk(s)",
-        prepared.total, prepared.done, prepared.pending, prepared.chunks
-    );
-
-    if prepared.pending > 0 {
-        if procs == 1 {
-            match campaign::worker_run(dir, spec, &h, 0, 1, max_cells) {
-                Ok(written) => eprintln!("campaign: {written} cell(s) written"),
-                Err(e) => {
-                    eprintln!("campaign: worker failed: {e}");
-                    std::process::exit(1);
-                }
-            }
-        } else {
-            spawn_workers(dir, spec, procs, max_cells);
-        }
-    }
-
-    match campaign::merge(dir, spec) {
-        Ok(MergeOutcome::Complete(doc)) => {
-            if let Err(e) = campaign::write_doc(json_path, &doc) {
-                eprintln!("campaign: failed to write {}: {e}", json_path.display());
-                std::process::exit(1);
-            }
-            print!("{}", campaign::render(&doc));
-            harness::finish("campaign", &h);
-            write_exec_sidecar(json_path, &h, procs, &prepared, t0);
-            eprintln!("campaign: JSON -> {}", json_path.display());
-        }
-        Ok(MergeOutcome::Incomplete { done, total }) => {
-            eprintln!(
-                "campaign: incomplete — {done}/{total} cells done; rerun to resume \
-                 (completed cells are kept)"
-            );
-            std::process::exit(3);
-        }
-        Err(e) => {
-            eprintln!("campaign: merge failed: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Spawns `procs` copies of this binary in `--worker` mode and waits for
-/// all of them. Workers inherit stdio (their banners go to stderr) and
-/// the environment (`SWAPRAM_JOBS`, `SWAPRAM_FAULT_SEED`).
-fn spawn_workers(dir: &Path, spec: &CampaignSpec, procs: usize, max_cells: Option<usize>) {
-    let exe = std::env::current_exe().unwrap_or_else(|e| {
-        eprintln!("campaign: cannot locate own executable: {e}");
-        std::process::exit(1);
-    });
-    let mut children = Vec::new();
-    for id in 0..procs {
-        let mut cmd = Command::new(&exe);
-        cmd.arg("--worker")
-            .arg("--worker-id")
-            .arg(id.to_string())
-            .arg("--procs")
-            .arg(procs.to_string())
-            .arg("--spec")
-            .arg(spec.name)
-            .arg("--base-seed")
-            .arg(spec.base_seed.to_string())
-            .arg("--dir")
-            .arg(dir);
-        if let Some(n) = max_cells {
-            cmd.arg("--max-cells").arg(n.to_string());
-        }
-        match cmd.spawn() {
-            Ok(child) => children.push(child),
-            Err(e) => {
-                eprintln!("campaign: failed to spawn worker {id}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    let mut failed = false;
-    for (id, child) in children.into_iter().enumerate() {
-        match child.wait_with_output() {
-            Ok(out) if out.status.success() => {}
-            Ok(out) => {
-                eprintln!("campaign: worker {id} exited with {}", out.status);
-                failed = true;
-            }
-            Err(e) => {
-                eprintln!("campaign: worker {id} wait failed: {e}");
-                failed = true;
-            }
-        }
-    }
-    if failed {
+    let h = harness::announce("campaign", &format!("spec {}", spec.name));
+    let doc = campaign::run(&h, &spec);
+    if let Err(e) = campaign::write_doc(json_path, &doc) {
+        eprintln!("campaign: failed to write {}: {e}", json_path.display());
         std::process::exit(1);
     }
+    print!("{}", campaign::render(&doc));
+    harness::finish("campaign", &h);
+    let cells = doc.get("cells").and_then(json::Json::as_arr).map_or(0, <[_]>::len);
+    write_exec_sidecar(json_path, &h, cells, t0);
+    eprintln!("campaign: {cells} cells; JSON -> {}", json_path.display());
 }
 
-/// Writes the non-deterministic execution stats next to the merged JSON.
-/// Wall-clock, process/thread counts and cache counters deliberately live
+/// Writes the non-deterministic execution stats next to the campaign
+/// JSON. Wall-clock, thread count and cache counters deliberately live
 /// here (and in the stderr banners) — never in `BENCH_campaign.json`,
-/// which must be byte-identical across worker counts.
-fn write_exec_sidecar(
-    json_path: &Path,
-    h: &experiments::Harness,
-    procs: usize,
-    prepared: &campaign::Prepared,
-    t0: Instant,
-) {
+/// which must be byte-identical across thread counts.
+fn write_exec_sidecar(json_path: &Path, h: &experiments::Harness, cells: usize, t0: Instant) {
     use json::Json;
     let sidecar = json_path.with_extension("exec.json");
     let doc = Json::obj(vec![
-        ("procs", Json::U64(procs as u64)),
-        ("jobs_per_proc", Json::U64(h.jobs() as u64)),
-        ("cells_total", Json::U64(prepared.total as u64)),
-        ("cells_resumed", Json::U64(prepared.done as u64)),
-        ("cells_run", Json::U64(prepared.pending as u64)),
+        ("jobs", Json::U64(h.jobs() as u64)),
+        ("cells", Json::U64(cells as u64)),
         (
-            "coordinator_cache",
+            "cache",
             Json::obj(vec![
                 ("builds_unique", Json::U64(h.unique_builds() as u64)),
                 ("build_hits", Json::U64(h.build_hits())),
@@ -267,7 +140,7 @@ fn write_exec_sidecar(
 }
 
 /// `--summary`: regenerate `BENCHMARKS.md` and the stdout report from an
-/// existing merged campaign JSON.
+/// existing campaign JSON.
 fn summarize(json_path: &Path, out_path: &str) {
     let text = match std::fs::read_to_string(json_path) {
         Ok(t) => t,

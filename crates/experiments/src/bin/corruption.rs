@@ -16,7 +16,7 @@
 //! output — the property this campaign exists to enforce.
 
 use experiments::corruption::{self, FlipRegion};
-use experiments::harness;
+use experiments::{harness, resilience};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -25,7 +25,7 @@ fn main() {
     let json_path = args.iter().position(|a| a == "--json").and_then(|i| args.get(i + 1).cloned());
 
     let flips = if fast { corruption::FAST_FLIPS } else { corruption::DEFAULT_FLIPS };
-    let seed = corruption::campaign_seed();
+    let seed = resilience::base_seed();
     let h = harness::announce(
         "corruption",
         &format!("{flips} flips/(benchmark, region), base seed {seed:#x}"),

@@ -1,29 +1,18 @@
-//! # Fleet-scale campaign engine
+//! # Campaign engine
 //!
 //! The paper evaluates SwapRAM on 9 benchmarks × a handful of memory
-//! profiles; a deployed fleet is millions of devices with heterogeneous
-//! memories, clocks and duty cycles. This module sweeps *thousands* of
-//! configurations — cache geometry (SRAM split + cache size), clock
+//! profiles. This module sweeps the paper's own knobs across *thousands*
+//! of configurations — cache geometry (SRAM split + cache size), clock
 //! frequency, eviction policy, metadata guards, ISR protocol, recovery
-//! mode, and seeded power-loss schedules — and scales the evaluation with
-//! cores × processes instead of one process:
+//! mode, and seeded power-loss schedules — in one process:
 //!
 //! * A [`CampaignSpec`] enumerates the cross-product as [`Cell`]s, each
 //!   keyed by a canonical config string and a stable FNV-1a hash.
-//! * Execution fans out over **multi-process work-stealing workers**
-//!   (`campaign --worker` children): the coordinator chunks the pending
-//!   cell hashes into a shared *manifest* of hash-ranges, and workers
-//!   claim chunks with atomic `create_new` claim files, running the cells
-//!   of each claimed chunk on their own `SWAPRAM_JOBS`-way
-//!   [`Harness::parallel_map`] pool.
-//! * Workers append finished rows to **sharded, streamed result files**
-//!   (`shards/<token>.jsonl`, one `hash\tcompact-json` line per cell,
-//!   flushed per batch). The merge step orders rows **by config key,
-//!   never completion order**, so a `SWAPRAM_JOBS=1` single-process run
-//!   and an N-process run produce byte-identical `BENCH_campaign.json`.
-//! * Campaigns are **resumable**: completed config hashes found in the
-//!   shards are skipped when the manifest is rebuilt, so a killed
-//!   campaign loses at most the cells that were in flight.
+//! * [`run`] executes the cells on the `SWAPRAM_JOBS`-way
+//!   [`Harness::parallel_map`] pool. Each row is a pure function of its
+//!   cell, and rows are assembled **in config-key order, never completion
+//!   order**, so any thread count produces a byte-identical
+//!   `BENCH_campaign.json`.
 //! * The summary reporter emits per-axis percentiles (p50/p90/p99
 //!   miss-cycle overhead, useful-cycles-per-boot) and pareto frontiers
 //!   (SRAM bytes vs cycles, overhead vs forward progress) — the
@@ -31,13 +20,13 @@
 //!
 //! Everything layers on the existing [`Harness`] memoization: a cell's
 //! baseline and clean reference runs ride [`Harness::measure`] (shared
-//! across cells of one process), and faulted cells reuse the resilience
-//! episode executor rather than forking it.
+//! across cells), and faulted cells reuse the resilience episode executor
+//! rather than forking it.
 
 use crate::harness::Harness;
-use crate::json::{self, Json};
+use crate::json::Json;
 use crate::report::Table;
-use crate::resilience;
+use crate::resilience::{self, policy_name, protocol_name, recovery_name};
 use mibench::builder::{MemoryProfile, System};
 use mibench::Benchmark;
 use msp430_sim::freq::Frequency;
@@ -46,18 +35,11 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
 use std::io::{self, BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use swapram::{IsrProtocol, PolicyKind, RecoveryMode, SwapConfig};
 
-/// Subdirectory holding the sharded result files.
-pub const SHARD_DIR: &str = "shards";
-/// Subdirectory holding the chunk claim files.
-pub const CLAIM_DIR: &str = "claims";
-/// The shared manifest of pending hash-ranges.
-pub const MANIFEST: &str = "manifest.txt";
-
 /// FNV-1a 64-bit hash — the stable config hash keying every cell across
-/// processes, restarts and platforms.
+/// runs and platforms.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -80,28 +62,23 @@ pub enum IsrMode {
 }
 
 impl IsrMode {
-    /// Deterministic report name.
-    pub fn name(self) -> &'static str {
+    /// The critical-section protocol of an armed harness, `None` when off.
+    pub fn protocol(self) -> Option<IsrProtocol> {
         match self {
-            IsrMode::Off => "off",
-            IsrMode::Masked => "masked",
-            IsrMode::Unprotected => "unprotected",
+            IsrMode::Off => None,
+            IsrMode::Masked => Some(IsrProtocol::Masked),
+            IsrMode::Unprotected => Some(IsrProtocol::Unprotected),
         }
     }
-}
 
-/// Deterministic report name of an eviction policy.
-pub fn policy_name(policy: PolicyKind) -> &'static str {
-    match policy {
-        PolicyKind::CircularQueue => "circular-queue",
-        PolicyKind::Stack => "stack",
-        PolicyKind::PriorityCost => "priority-cost",
-        PolicyKind::FreezeOnThrash => "freeze-on-thrash",
+    /// Deterministic report name.
+    pub fn name(self) -> &'static str {
+        self.protocol().map_or("off", protocol_name)
     }
 }
 
 /// One configuration cell of the sweep — everything needed to rebuild and
-/// rerun it deterministically in any process.
+/// rerun it deterministically.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cell {
     /// Which benchmark.
@@ -126,7 +103,7 @@ pub struct Cell {
 }
 
 impl Cell {
-    /// Canonical config key: the merge order and the hash preimage.
+    /// Canonical config key: the row order and the hash preimage.
     pub fn key(&self) -> String {
         let mut k = self.point_key();
         match self.fault_seed {
@@ -149,7 +126,7 @@ impl Cell {
             self.freq.mhz,
             policy_name(self.policy),
             if self.guards { "on" } else { "off" },
-            resilience::recovery_name(self.recovery),
+            recovery_name(self.recovery),
             self.isr.name(),
         )
     }
@@ -185,14 +162,8 @@ impl Cell {
         .with_policy(self.policy)
         .with_guards(self.guards)
         .with_recovery(self.recovery);
-        match self.isr {
-            IsrMode::Off => {}
-            IsrMode::Masked => {
-                cfg = cfg.with_irq_harness(true).with_isr_protocol(IsrProtocol::Masked);
-            }
-            IsrMode::Unprotected => {
-                cfg = cfg.with_irq_harness(true).with_isr_protocol(IsrProtocol::Unprotected);
-            }
+        if let Some(protocol) = self.isr.protocol() {
+            cfg = cfg.with_irq_harness(true).with_isr_protocol(protocol);
         }
         cfg
     }
@@ -309,8 +280,7 @@ impl CampaignSpec {
     }
 
     /// Enumerates every cell of the sweep, sorted by config key. The
-    /// enumeration is a pure function of the spec, so every worker
-    /// process derives the identical cell set from the spec arguments.
+    /// enumeration is a pure function of the spec.
     pub fn cells(&self) -> Vec<Cell> {
         let mut out = Vec::new();
         for &bench in &self.benches {
@@ -363,12 +333,6 @@ impl CampaignSpec {
             let seed = SplitMix64::new(stream).next_u64();
             out.push(Cell { fault_seed: Some(seed), ..point.clone() });
         }
-    }
-
-    /// The manifest/shard spec line used to cross-check coordinator and
-    /// workers: preset name, base seed and total cell count.
-    pub fn spec_line(&self, total: usize) -> String {
-        format!("spec {} {:016x} {total}", self.name, self.base_seed)
     }
 }
 
@@ -424,7 +388,7 @@ pub fn run_cell(h: &Harness, cell: &Cell) -> Json {
                 Ok(b) => b,
                 Err(e) => {
                     // Unreachable when the clean run succeeded, but keep
-                    // the row well-formed rather than panicking a worker.
+                    // the row well-formed rather than panicking the sweep.
                     fields.push(("status", Json::str("failed")));
                     fields.push(("result", Json::obj(vec![("message", Json::str(e.to_string()))])));
                     return Json::obj(fields);
@@ -475,7 +439,7 @@ fn identity_fields(cell: &Cell) -> Vec<(&'static str, Json)> {
         ("freq_mhz", Json::U64(u64::from(cell.freq.mhz))),
         ("policy", Json::str(policy_name(cell.policy))),
         ("guards", Json::Bool(cell.guards)),
-        ("recovery", Json::str(resilience::recovery_name(cell.recovery))),
+        ("recovery", Json::str(recovery_name(cell.recovery))),
         ("isr", Json::str(cell.isr.name())),
         (
             "fault_seed",
@@ -496,288 +460,25 @@ fn opt_f64(v: Option<f64>) -> Json {
 }
 
 // ---------------------------------------------------------------------------
-// Shared-manifest work-stealing protocol
+// In-process sweep
 // ---------------------------------------------------------------------------
 
-/// What the coordinator found when preparing (or resuming) a campaign
-/// directory.
-#[derive(Debug, Clone)]
-pub struct Prepared {
-    /// Total cells in the spec.
-    pub total: usize,
-    /// Cells already completed in the shards (skipped on this run).
-    pub done: usize,
-    /// Cells written into the manifest for workers to claim.
-    pub pending: usize,
-    /// Number of claimable chunks.
-    pub chunks: usize,
-}
-
-/// Prepares `dir` for a (possibly resumed) campaign run: scans the shards
-/// for completed config hashes, clears stale claims, and writes a fresh
-/// manifest chunking the still-pending hashes into claimable hash-ranges.
-///
-/// # Errors
-///
-/// I/O errors, or corrupt shards (same hash, different row bytes).
-pub fn prepare_dir(dir: &Path, spec: &CampaignSpec, procs: usize) -> io::Result<Prepared> {
-    fs::create_dir_all(dir.join(SHARD_DIR))?;
-    // Claims only coordinate live workers; on (re)start any leftover
-    // claim is stale by construction, so the claim set is rebuilt.
-    let claims = dir.join(CLAIM_DIR);
-    if claims.exists() {
-        fs::remove_dir_all(&claims)?;
-    }
-    fs::create_dir_all(&claims)?;
-
+/// Runs every cell of `spec` on the harness pool and assembles the
+/// campaign document. Rows are pure functions of their cell and come back
+/// in [`CampaignSpec::cells`] order — config-key order, never completion
+/// order — so the bytes are independent of the thread count.
+pub fn run(h: &Harness, spec: &CampaignSpec) -> Json {
     let cells = spec.cells();
-    let done = read_done(dir)?;
-    let pending: Vec<u64> =
-        cells.iter().map(Cell::hash).filter(|h| !done.contains_key(h)).collect();
-
-    let chunk_size = (pending.len() / (procs.max(1) * 8)).clamp(1, 32);
-    let chunks: Vec<&[u64]> = pending.chunks(chunk_size).collect();
-    let mut w = BufWriter::new(fs::File::create(dir.join(MANIFEST))?);
-    writeln!(w, "{}", spec.spec_line(cells.len()))?;
-    for (i, chunk) in chunks.iter().enumerate() {
-        write!(w, "chunk {i}")?;
-        for h in *chunk {
-            write!(w, " {h:016x}")?;
-        }
-        writeln!(w)?;
-    }
-    w.flush()?;
-
-    Ok(Prepared {
-        total: cells.len(),
-        done: cells.len() - pending.len(),
-        pending: pending.len(),
-        chunks: chunks.len(),
-    })
-}
-
-/// Reads every completed row from the shard files: config hash → the
-/// row's compact JSON line. Rows are deterministic functions of their
-/// cell, so a duplicated hash must carry identical bytes; a torn trailing
-/// line (from a killed worker) is ignored — that cell simply reruns.
-///
-/// # Errors
-///
-/// I/O errors, or two shards disagreeing about a hash.
-pub fn read_done(dir: &Path) -> io::Result<BTreeMap<u64, String>> {
-    let mut done = BTreeMap::new();
-    let shard_dir = dir.join(SHARD_DIR);
-    if !shard_dir.exists() {
-        return Ok(done);
-    }
-    let mut paths: Vec<PathBuf> =
-        fs::read_dir(&shard_dir)?.filter_map(|e| e.ok().map(|e| e.path())).collect();
-    paths.sort();
-    for path in paths {
-        let text = fs::read_to_string(&path)?;
-        for line in text.split_inclusive('\n') {
-            // A line without its newline is a torn tail write.
-            let Some(line) = line.strip_suffix('\n') else { continue };
-            let Some((hash_hex, row)) = line.split_once('\t') else { continue };
-            let Ok(hash) = u64::from_str_radix(hash_hex, 16) else { continue };
-            if json::parse(row).is_err() {
-                continue;
-            }
-            if let Some(prev) = done.get(&hash) {
-                if prev != row {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "shard {path:?} disagrees with an earlier shard about cell {hash_hex}; \
-                             the campaign directory is corrupt — rerun with --fresh"
-                        ),
-                    ));
-                }
-            } else {
-                done.insert(hash, row.to_string());
-            }
-        }
-    }
-    Ok(done)
-}
-
-/// Reads the manifest: the spec cross-check line plus the chunked pending
-/// hash-ranges.
-///
-/// # Errors
-///
-/// I/O errors or a malformed/mismatched manifest.
-pub fn read_manifest(dir: &Path, spec: &CampaignSpec, total: usize) -> io::Result<Vec<Vec<u64>>> {
-    let text = fs::read_to_string(dir.join(MANIFEST))?;
-    let mut lines = text.lines();
-    let spec_line = lines.next().unwrap_or_default();
-    if spec_line != spec.spec_line(total) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "manifest spec line {spec_line:?} does not match this worker's spec \
-                 {:?} — coordinator and worker must agree on --spec and --base-seed",
-                spec.spec_line(total)
-            ),
-        ));
-    }
-    let mut chunks = Vec::new();
-    for line in lines {
-        let mut parts = line.split_whitespace();
-        if parts.next() != Some("chunk") {
-            continue;
-        }
-        let _idx = parts.next();
-        let hashes: Vec<u64> =
-            parts.filter_map(|h| u64::from_str_radix(h, 16).ok()).collect();
-        chunks.push(hashes);
-    }
-    Ok(chunks)
-}
-
-/// Atomically claims chunk `idx` for `token`. Returns `false` when
-/// another worker already holds it.
-fn claim(dir: &Path, idx: usize, token: &str) -> io::Result<bool> {
-    let path = dir.join(CLAIM_DIR).join(format!("chunk-{idx}.claim"));
-    match fs::OpenOptions::new().write(true).create_new(true).open(&path) {
-        Ok(mut f) => {
-            let _ = f.write_all(token.as_bytes());
-            Ok(true)
-        }
-        Err(e) if e.kind() == io::ErrorKind::AlreadyExists => Ok(false),
-        Err(e) => Err(e),
-    }
-}
-
-/// The work-stealing worker loop: scan the manifest's chunks (starting at
-/// this worker's offset so workers spread out), claim each unclaimed
-/// chunk, run its cells in `SWAPRAM_JOBS`-sized batches on the harness
-/// pool, and append one `hash\tjson` line per finished cell to this
-/// worker's shard, flushing per batch. `max_cells` (the kill-test knob)
-/// stops the worker after writing that many rows, leaving its current
-/// claim stale — exactly what a killed process would leave behind.
-///
-/// Returns the number of rows written.
-///
-/// # Errors
-///
-/// I/O errors; cell execution itself never fails the worker (failures are
-/// recorded in the row).
-pub fn worker_run(
-    dir: &Path,
-    spec: &CampaignSpec,
-    h: &Harness,
-    worker_id: usize,
-    procs: usize,
-    max_cells: Option<usize>,
-) -> io::Result<usize> {
-    let cells = spec.cells();
-    let by_hash: BTreeMap<u64, &Cell> = cells.iter().map(|c| (c.hash(), c)).collect();
-    let chunks = read_manifest(dir, spec, cells.len())?;
-    let token = format!("w{worker_id}");
-    let shard_path = dir.join(SHARD_DIR).join(format!("{token}.jsonl"));
-    // A worker killed mid-write leaves a torn, newline-less tail; sew it
-    // shut before appending so the next row does not glue onto it (the
-    // terminated torn line then parses as malformed and its cell reruns).
-    let torn_tail = fs::File::open(&shard_path).ok().is_some_and(|mut f| {
-        use std::io::{Read, Seek, SeekFrom};
-        let mut b = [0u8; 1];
-        f.seek(SeekFrom::End(-1)).is_ok() && f.read_exact(&mut b).is_ok() && b[0] != b'\n'
-    });
-    let mut shard = BufWriter::new(
-        fs::OpenOptions::new().create(true).append(true).open(&shard_path)?,
-    );
-    if torn_tail {
-        shard.write_all(b"\n")?;
-        shard.flush()?;
-    }
-
-    let mut written = 0usize;
-    let offset = if chunks.is_empty() { 0 } else { worker_id * chunks.len() / procs.max(1) };
-    'steal: for i in 0..chunks.len() {
-        let idx = (offset + i) % chunks.len();
-        if !claim(dir, idx, &token)? {
-            continue;
-        }
-        let chunk: Vec<&Cell> =
-            chunks[idx].iter().filter_map(|h| by_hash.get(h).copied()).collect();
-        for batch in chunk.chunks(h.jobs().max(1)) {
-            let mut batch: Vec<&Cell> = batch.to_vec();
-            if let Some(budget) = max_cells {
-                let left = budget.saturating_sub(written);
-                if left == 0 {
-                    break 'steal;
-                }
-                batch.truncate(left);
-            }
-            let rows = h.parallel_map(batch.clone(), |cell| run_cell(h, cell));
-            for (cell, row) in batch.iter().zip(rows) {
-                write!(shard, "{:016x}\t", cell.hash())?;
-                row.write_compact(&mut shard)?;
-                shard.write_all(b"\n")?;
-                written += 1;
-            }
-            shard.flush()?;
-        }
-    }
-    shard.flush()?;
-    Ok(written)
-}
-
-// ---------------------------------------------------------------------------
-// Deterministic merge
-// ---------------------------------------------------------------------------
-
-/// Result of a merge attempt.
-#[derive(Debug)]
-pub enum MergeOutcome {
-    /// Every cell is accounted for; the merged, summary-annotated
-    /// campaign document.
-    Complete(Box<Json>),
-    /// Some cells are still pending (killed or truncated run).
-    Incomplete {
-        /// Completed cells found in the shards.
-        done: usize,
-        /// Total cells in the spec.
-        total: usize,
-    },
-}
-
-/// Merges the shard rows into the final campaign document, ordering cells
-/// **by config key — never completion order** — so the bytes are
-/// independent of worker count, thread count and scheduling.
-///
-/// # Errors
-///
-/// I/O errors, corrupt shards, or rows that fail to parse.
-pub fn merge(dir: &Path, spec: &CampaignSpec) -> io::Result<MergeOutcome> {
-    let cells = spec.cells();
-    let done = read_done(dir)?;
-    if done.len() < cells.len() || cells.iter().any(|c| !done.contains_key(&c.hash())) {
-        let known = cells.iter().filter(|c| done.contains_key(&c.hash())).count();
-        return Ok(MergeOutcome::Incomplete { done: known, total: cells.len() });
-    }
-    // `cells` is already sorted by config key; assemble rows in that order.
-    let rows: Vec<Json> = cells
-        .iter()
-        .map(|c| {
-            json::parse(&done[&c.hash()]).map_err(|e| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("shard row for {} failed to parse: {e}", c.key()),
-                )
-            })
-        })
-        .collect::<io::Result<_>>()?;
+    let total = cells.len();
+    let rows = h.parallel_map(cells, |cell| run_cell(h, &cell));
     let summary = summary_json(&rows);
-    let doc = Json::obj(vec![
+    Json::obj(vec![
         ("schema", Json::U64(1)),
         ("generator", Json::str("swapram campaign engine")),
-        ("spec", spec_json(spec, cells.len())),
+        ("spec", spec_json(spec, total)),
         ("cells", Json::Arr(rows)),
         ("summary", summary),
-    ]);
-    Ok(MergeOutcome::Complete(Box::new(doc)))
+    ])
 }
 
 /// Serializes the spec echo embedded in the campaign document.
@@ -810,7 +511,7 @@ fn spec_json(spec: &CampaignSpec, total: usize) -> Json {
         (
             "recoveries",
             Json::Arr(
-                spec.recoveries.iter().map(|&r| Json::str(resilience::recovery_name(r))).collect(),
+                spec.recoveries.iter().map(|&r| Json::str(recovery_name(r))).collect(),
             ),
         ),
         (
@@ -1155,7 +856,7 @@ fn doc_header(doc: &Json) -> (String, u64, u64, u64, u64) {
     (name, cells, get("ok"), get("dnf"), get("failed"))
 }
 
-/// Renders the merged campaign document as the stdout report: status
+/// Renders the campaign document as the stdout report: status
 /// counts plus the per-axis percentile and pareto tables.
 pub fn render(doc: &Json) -> String {
     let (name, cells, ok, dnf, failed) = doc_header(doc);
@@ -1169,7 +870,7 @@ pub fn render(doc: &Json) -> String {
     out
 }
 
-/// Renders the merged campaign document as `BENCHMARKS.md`.
+/// Renders the campaign document as `BENCHMARKS.md`.
 pub fn render_markdown(doc: &Json) -> String {
     let (name, cells, ok, dnf, failed) = doc_header(doc);
     let seed = doc
@@ -1201,6 +902,7 @@ pub fn render_markdown(doc: &Json) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
 
     #[test]
     fn fnv_matches_reference_vectors() {
@@ -1248,8 +950,8 @@ mod tests {
             cell.key(),
             "crc|split=0000|cache=1000|24MHz|circular-queue|guards=on|full-scan|isr=off|fault=none"
         );
-        // Pinned: a silent change to the key format would orphan every
-        // shard of every in-flight campaign.
+        // Pinned: a silent change to the key format would reorder and
+        // rehash every committed campaign row.
         assert_eq!(cell.hash(), fnv1a64(cell.key().as_bytes()));
         assert_eq!(cell.hash(), 0x2d3e_8d79_9aa0_4e8e, "key format changed — bump with care");
     }

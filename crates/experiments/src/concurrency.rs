@@ -28,7 +28,7 @@ use crate::harness::Harness;
 use crate::json::Json;
 use crate::measure::{MeasureError, SEED};
 use crate::report::Table;
-use crate::resilience::poke_app_state;
+use crate::resilience::{name_tag, poke_app_state, protocol_name, recovery_name};
 use mibench::builder::{Built, MemoryProfile, Program, System};
 use mibench::{input_for, Benchmark};
 use msp430_sim::fault::{FaultEvent, FaultKind, FaultPlan};
@@ -211,7 +211,7 @@ pub fn run(h: &Harness, schedules: usize, base_seed: u64) -> Vec<ConcurrencyRow>
 /// Derives the per-episode schedule seed, folding the benchmark name,
 /// protocol and recovery mode so cells draw distinct schedules while the
 /// published seed stays reproducible from `(base, bench, cell, i)`.
-fn schedule_seed(
+pub(crate) fn schedule_seed(
     base: u64,
     bench: Benchmark,
     protocol: IsrProtocol,
@@ -219,10 +219,7 @@ fn schedule_seed(
     i: usize,
 ) -> u64 {
     let mut x = SplitMix64::new(base);
-    let mut tag = 0u64;
-    for b in bench.name().bytes() {
-        tag = tag.wrapping_mul(31).wrapping_add(u64::from(b));
-    }
+    let mut tag = name_tag(&[bench.name()]);
     if protocol == IsrProtocol::Unprotected {
         tag = tag.wrapping_add(0x1517);
     }
@@ -479,14 +476,8 @@ pub fn rows_json(rows: &[ConcurrencyRow]) -> Json {
             .map(|r| {
                 let mut fields = vec![
                     ("bench", Json::str(r.bench.name())),
-                    (
-                        "protocol",
-                        Json::str(match r.protocol {
-                            IsrProtocol::Masked => "masked",
-                            IsrProtocol::Unprotected => "unprotected",
-                        }),
-                    ),
-                    ("recovery", Json::str(crate::resilience::recovery_name(r.recovery))),
+                    ("protocol", Json::str(protocol_name(r.protocol))),
+                    ("recovery", Json::str(recovery_name(r.recovery))),
                     ("seed", Json::U64(r.seed)),
                     ("power_loss", Json::Bool(r.power_loss)),
                     ("bit_flip", Json::Bool(r.bit_flip)),
@@ -518,10 +509,7 @@ pub fn rows_json(rows: &[ConcurrencyRow]) -> Json {
 pub fn render(rows: &[ConcurrencyRow]) -> String {
     let mut out = String::new();
     for protocol in [IsrProtocol::Masked, IsrProtocol::Unprotected] {
-        let mode = match protocol {
-            IsrProtocol::Masked => "masked",
-            IsrProtocol::Unprotected => "unprotected",
-        };
+        let mode = protocol_name(protocol);
         let mut t = Table::new(
             &format!("Concurrency — seeded interrupt schedules, {mode} protocol"),
             &["benchmark", "episodes", "irqs", "yields", "fid repairs", "boundary checks", "ok"],

@@ -37,7 +37,7 @@ use crate::harness::Harness;
 use crate::json::Json;
 use crate::measure::SEED;
 use crate::report::Table;
-use crate::resilience::base_seed;
+use crate::resilience::name_tag;
 use mibench::builder::{run_on, Built, MemoryProfile, Program, System};
 use mibench::{input_for, Benchmark};
 use msp430_sim::fault::{FaultEvent, FaultKind, FaultPlan};
@@ -137,12 +137,9 @@ pub struct CorruptionRow {
 /// Derives the per-episode seed, folding in benchmark and region so every
 /// cell of the matrix draws distinct flips while staying reproducible
 /// from `(base, bench, region, i)`.
-fn flip_seed(base: u64, bench: Benchmark, region: FlipRegion, i: usize) -> u64 {
+pub(crate) fn flip_seed(base: u64, bench: Benchmark, region: FlipRegion, i: usize) -> u64 {
     let mut x = SplitMix64::new(base ^ 0xB17F_11B5);
-    let mut tag = 0u64;
-    for b in bench.name().bytes().chain(region.name().bytes()) {
-        tag = tag.wrapping_mul(31).wrapping_add(u64::from(b));
-    }
+    let tag = name_tag(&[bench.name(), region.name()]);
     x.next_u64().wrapping_add(tag).wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
@@ -359,10 +356,4 @@ pub fn render(rows: &[CorruptionRow]) -> String {
 /// given region.
 pub fn silent_rows(rows: &[CorruptionRow], region: FlipRegion) -> Vec<&CorruptionRow> {
     rows.iter().filter(|r| r.region == region && r.outcome == Outcome::SilentWrong).collect()
-}
-
-/// Re-exported base seed (shared with the resilience campaign's
-/// `SWAPRAM_FAULT_SEED` environment knob).
-pub fn campaign_seed() -> u64 {
-    base_seed()
 }

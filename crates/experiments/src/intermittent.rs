@@ -38,7 +38,7 @@ use crate::harness::Harness;
 use crate::json::Json;
 use crate::measure::{MeasureError, SEED};
 use crate::report::Table;
-use crate::resilience::{poke_app_state, recovery_name};
+use crate::resilience::{name_tag, poke_app_state, recovery_name};
 use mibench::builder::{Built, MemoryProfile, Program, System};
 use mibench::{input_for, Benchmark};
 use msp430_sim::fault::{EnergyShape, EnergyTrace, FaultEvent, FaultKind, FaultPlan, RECORDED_PROFILE};
@@ -262,18 +262,9 @@ pub fn run(h: &Harness, tiers: &[Tier], base_seed: u64) -> Vec<IntermittentRow> 
 /// Derives the per-episode seed, folding the benchmark name, protocol
 /// and tier so cells draw distinct traces while the published seed
 /// stays reproducible from `(base, bench, cell)`.
-fn episode_seed(base: u64, bench: Benchmark, recovery: RecoveryMode, tier: Tier) -> u64 {
+pub(crate) fn episode_seed(base: u64, bench: Benchmark, recovery: RecoveryMode, tier: Tier) -> u64 {
     let mut x = SplitMix64::new(base);
-    let mut tag = 0u64;
-    for b in bench.name().bytes() {
-        tag = tag.wrapping_mul(31).wrapping_add(u64::from(b));
-    }
-    for b in recovery_name(recovery).bytes() {
-        tag = tag.wrapping_mul(31).wrapping_add(u64::from(b));
-    }
-    for b in tier.name().bytes() {
-        tag = tag.wrapping_mul(31).wrapping_add(u64::from(b));
-    }
+    let tag = name_tag(&[bench.name(), recovery_name(recovery), tier.name()]);
     x.next_u64().wrapping_add(tag.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 

@@ -234,7 +234,7 @@ fn write_escaped<W: Write>(w: &mut W, s: &str) -> io::Result<()> {
 ///
 /// Returns a byte offset + message for malformed input.
 pub fn parse(s: &str) -> Result<Json, ParseError> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+    let mut p = Parser { src: s, bytes: s.as_bytes(), pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -260,6 +260,7 @@ impl std::fmt::Display for ParseError {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -412,11 +413,10 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Advance one whole UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().expect("non-empty");
+                    // Advance one whole UTF-8 scalar, decoded in O(1) from
+                    // the already-validated input (`pos` only ever stops on
+                    // a scalar boundary).
+                    let c = self.src[self.pos..].chars().next().expect("non-empty");
                     if (c as u32) < 0x20 {
                         return Err(self.err("unescaped control character"));
                     }
@@ -528,6 +528,21 @@ mod tests {
             ("xs", Json::Arr(vec![Json::U64(1), Json::F64(2.0), Json::str("x")])),
             ("empty_a", Json::Arr(vec![])),
             ("empty_o", Json::Obj(vec![])),
+        ]);
+        assert_eq!(parse(&v.render()).unwrap(), v);
+        assert_eq!(parse(&v.pretty(2)).unwrap(), v);
+    }
+
+    /// String decoding must be O(1) per character, so a 1 MiB string plus
+    /// 100k short strings parse in linear time; re-validating the rest of
+    /// the input per character would make this test run for hours.
+    #[test]
+    fn parse_is_linear_in_string_length() {
+        let big: String = "π✓ab".chars().cycle().take(1 << 20).collect();
+        assert!(big.len() >= 1 << 20);
+        let v = Json::obj(vec![
+            ("big", Json::Str(big)),
+            ("xs", Json::Arr((0..100_000).map(|i| Json::str(format!("s{i}"))).collect())),
         ]);
         assert_eq!(parse(&v.render()).unwrap(), v);
         assert_eq!(parse(&v.pretty(2)).unwrap(), v);

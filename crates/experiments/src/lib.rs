@@ -27,7 +27,7 @@
 //! | [`corruption`]| seeded bit-flip injection vs. the defense stack |
 //! | [`concurrency`]| timer interrupts + preemptive tasks vs. reentrancy |
 //! | [`intermittent`]| harvested-energy traces vs. forward progress      |
-//! | [`campaign`]| fleet-scale config sweep (multi-process work stealing) |
+//! | [`campaign`]| in-process config sweep, key-ordered rows      |
 
 pub mod ablation;
 pub mod campaign;

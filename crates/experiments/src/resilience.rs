@@ -28,7 +28,7 @@ use msp430_sim::fault::FaultPlan;
 use msp430_sim::freq::Frequency;
 use msp430_sim::machine::{ExitReason, Fr2355, Machine};
 use msp430_sim::rng::SplitMix64;
-use swapram::{RecoveryMode, SwapConfig, SwapRuntime};
+use swapram::{IsrProtocol, PolicyKind, RecoveryMode, SwapConfig, SwapRuntime};
 
 /// Environment variable overriding the base fault seed.
 pub const FAULT_SEED_ENV: &str = "SWAPRAM_FAULT_SEED";
@@ -50,6 +50,33 @@ pub fn recovery_name(mode: RecoveryMode) -> &'static str {
         RecoveryMode::DirtyLog => "dirty-log",
         RecoveryMode::PersistentStack => "persistent-stack",
     }
+}
+
+/// The deterministic JSON/report name of an eviction policy.
+pub fn policy_name(policy: PolicyKind) -> &'static str {
+    match policy {
+        PolicyKind::CircularQueue => "circular-queue",
+        PolicyKind::Stack => "stack",
+        PolicyKind::PriorityCost => "priority-cost",
+        PolicyKind::FreezeOnThrash => "freeze-on-thrash",
+    }
+}
+
+/// The deterministic JSON/report name of an ISR critical-section protocol.
+pub fn protocol_name(protocol: IsrProtocol) -> &'static str {
+    match protocol {
+        IsrProtocol::Masked => "masked",
+        IsrProtocol::Unprotected => "unprotected",
+    }
+}
+
+/// Folds name strings into the tag the per-episode seed derivations mix
+/// in (`tag * 31 + byte` over every byte of every part, in order), so a
+/// cell's seed is reproducible from its names.
+pub(crate) fn name_tag(parts: &[&str]) -> u64 {
+    parts.iter().flat_map(|p| p.bytes()).fold(0u64, |tag, b| {
+        tag.wrapping_mul(31).wrapping_add(u64::from(b))
+    })
 }
 
 /// Base fault seed: `SWAPRAM_FAULT_SEED` if set, else the default.
@@ -147,10 +174,7 @@ pub fn run(h: &Harness, schedules: usize, base_seed: u64) -> Vec<ResilienceRow> 
 /// row's published seed stays reproducible from `(base, bench, mode, i)`.
 fn schedule_seed(base: u64, bench: Benchmark, recovery: RecoveryMode, i: usize) -> u64 {
     let mut x = SplitMix64::new(base);
-    let mut tag = 0u64;
-    for b in bench.name().bytes() {
-        tag = tag.wrapping_mul(31).wrapping_add(u64::from(b));
-    }
+    let mut tag = name_tag(&[bench.name()]);
     if recovery == RecoveryMode::DirtyLog {
         tag = tag.wrapping_add(0x5eed);
     }
@@ -364,4 +388,38 @@ pub fn render(rows: &[ResilienceRow]) -> String {
         out.push('\n');
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::corruption::FlipRegion;
+    use crate::intermittent::Tier;
+
+    /// Every published seed is reproducible from its row's names, so the
+    /// derivations are pinned to the values they have always produced.
+    #[test]
+    fn seed_derivations_are_pinned() {
+        use Benchmark::{Aes, Bitcount, Crc, Rc4, Stringsearch};
+        use RecoveryMode::{DirtyLog, FullScan, PersistentStack};
+        assert_eq!(schedule_seed(0xF00D, Crc, FullScan, 0), 0x079f_67de_2dc5_0b9d);
+        assert_eq!(schedule_seed(51966, Rc4, DirtyLog, 3), 0x9413_4ebf_91b9_dbf9);
+        assert_eq!(schedule_seed(0xF00D, Stringsearch, PersistentStack, 7), 0x850d_7e1b_e35e_a355);
+
+        use crate::concurrency::schedule_seed as isr_seed;
+        use IsrProtocol::{Masked, Unprotected};
+        assert_eq!(isr_seed(0xF00D, Crc, Masked, FullScan, 0), 0x079f_67de_2dc5_0b9d);
+        assert_eq!(isr_seed(51966, Rc4, Unprotected, DirtyLog, 2), 0xf5db_d506_126f_74fb);
+        assert_eq!(isr_seed(0xF00D, Bitcount, Unprotected, FullScan, 5), 0x1eb4_cb07_ec72_ff6b);
+
+        use crate::corruption::flip_seed;
+        assert_eq!(flip_seed(0xF00D, Crc, FlipRegion::Metadata, 0), 0x5d81_ee06_09cd_cd28);
+        assert_eq!(flip_seed(51966, Rc4, FlipRegion::CachedCode, 4), 0x7aba_4349_aa01_a80f);
+        assert_eq!(flip_seed(0xF00D, Aes, FlipRegion::AppData, 9), 0xed6e_3629_93d5_3e87);
+
+        use crate::intermittent::episode_seed;
+        assert_eq!(episode_seed(0xF00D, Crc, FullScan, Tier::Sparse), 0x5c6c_417b_99c0_ecdc);
+        assert_eq!(episode_seed(51966, Rc4, DirtyLog, Tier::Storm), 0xb9b7_7ef1_8bd5_2409);
+        assert_eq!(episode_seed(0xF00D, Bitcount, PersistentStack, Tier::Famine), 0x0946_ac57_3a6c_9873);
+    }
 }

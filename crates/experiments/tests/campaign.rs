@@ -1,10 +1,12 @@
-//! Acceptance tests for the fleet campaign engine (workspace test tier):
-//! the merged `BENCH_campaign.json` must be byte-identical across
-//! {1, 2, 8} worker processes × {1, 16} worker threads, and a campaign
-//! killed mid-run must resume to the same bytes an uninterrupted run
-//! produces.
+//! Acceptance tests for the campaign engine (workspace test tier): the
+//! `BENCH_campaign.json` document must be byte-identical across
+//! {1, 4, 16} worker threads, and the library sweep must produce exactly
+//! the bytes the binary writes.
 
-use std::path::{Path, PathBuf};
+use experiments::campaign::{self, CampaignSpec};
+use experiments::json::{self, Json};
+use experiments::{resilience, Harness};
+use std::path::PathBuf;
 use std::process::{Command, Output};
 
 const BIN: &str = env!("CARGO_BIN_EXE_campaign");
@@ -31,16 +33,15 @@ impl Drop for Scratch {
     }
 }
 
-/// Runs the campaign binary on the tiny spec with explicit process and
-/// thread counts plus any extra flags.
-fn campaign(scratch: &Scratch, run: &str, procs: usize, jobs: usize, extra: &[&str]) -> Output {
-    let dir = scratch.path(&format!("dir-{run}"));
+/// Runs the campaign binary on the tiny spec with an explicit thread count
+/// plus any extra flags, writing `<run>.json` in the scratch directory.
+fn campaign(scratch: &Scratch, run: &str, jobs: usize, extra: &[&str]) -> Output {
     let json = scratch.path(&format!("{run}.json"));
     Command::new(BIN)
-        .args(["--spec", "tiny", "--procs", &procs.to_string()])
-        .args(["--dir", dir.to_str().unwrap(), "--json", json.to_str().unwrap()])
+        .args(["--spec", "tiny", "--json", json.to_str().unwrap()])
         .args(extra)
         .env("SWAPRAM_JOBS", jobs.to_string())
+        .env_remove(resilience::FAULT_SEED_ENV)
         .output()
         .expect("campaign binary runs")
 }
@@ -54,75 +55,54 @@ fn stderr_of(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
-#[test]
-fn merged_output_is_byte_identical_across_process_and_thread_counts() {
-    let scratch = Scratch::new("det");
-    let reference = campaign(&scratch, "ref", 1, 1, &[]);
-    assert!(reference.status.success(), "reference run failed:\n{}", stderr_of(&reference));
-    let ref_bytes = read(&scratch, "ref");
-    assert!(ref_bytes.contains("\"cells\""), "merged document has a cells array");
+fn assert_usage_error(out: &Output, what: &str, needle: &str) {
+    let err = stderr_of(out);
+    assert_eq!(out.status.code(), Some(2), "{what} is a usage error:\n{err}");
+    assert!(err.contains(needle), "{what}: expected {needle:?} in:\n{err}");
+    assert!(err.contains("usage: campaign"), "{what} prints the usage text:\n{err}");
+}
 
-    for (run, procs, jobs) in [("p2", 2, 16), ("p8", 8, 1), ("p1j16", 1, 16)] {
-        let out = campaign(&scratch, run, procs, jobs, &[]);
-        assert!(
-            out.status.success(),
-            "{procs}-process/{jobs}-thread run failed:\n{}",
-            stderr_of(&out)
-        );
-        assert_eq!(
-            read(&scratch, run),
-            ref_bytes,
-            "{procs} processes x {jobs} threads must merge to the reference bytes"
-        );
+#[test]
+fn output_is_byte_identical_across_thread_counts() {
+    let scratch = Scratch::new("det");
+    let reference = campaign(&scratch, "j1", 1, &[]);
+    assert!(reference.status.success(), "reference run failed:\n{}", stderr_of(&reference));
+    let ref_bytes = read(&scratch, "j1");
+    assert!(ref_bytes.contains("\"cells\""), "document has a cells array");
+
+    for jobs in [4, 16] {
+        let run = format!("j{jobs}");
+        let out = campaign(&scratch, &run, jobs, &[]);
+        assert!(out.status.success(), "{jobs}-thread run failed:\n{}", stderr_of(&out));
+        assert_eq!(read(&scratch, &run), ref_bytes, "{jobs} threads must give the reference bytes");
         // stdout (the rendered report) must match too.
         assert_eq!(out.stdout, reference.stdout, "rendered report differs for {run}");
     }
 }
 
 #[test]
-fn killed_campaign_resumes_to_identical_bytes() {
-    let scratch = Scratch::new("resume");
-    let reference = campaign(&scratch, "ref", 1, 2, &[]);
-    assert!(reference.status.success(), "reference run failed:\n{}", stderr_of(&reference));
-    let ref_bytes = read(&scratch, "ref");
+fn library_sweep_matches_the_binary() {
+    let scratch = Scratch::new("lib");
+    let out = campaign(&scratch, "bin", 2, &[]);
+    assert!(out.status.success(), "campaign run failed:\n{}", stderr_of(&out));
 
-    // "Kill" the campaign after 7 cells: the worker stops mid-manifest,
-    // leaving a stale claim and a partially filled shard — exactly the
-    // on-disk state a SIGKILL would leave after its last flush.
-    let truncated = campaign(&scratch, "cut", 1, 2, &["--max-cells", "7"]);
+    let spec = CampaignSpec::tiny(resilience::DEFAULT_FAULT_SEED);
+    let doc = campaign::run(&Harness::with_jobs(1), &spec);
+    let lib_path = scratch.path("lib.json");
+    campaign::write_doc(&lib_path, &doc).expect("write library document");
+    assert_eq!(read(&scratch, "lib"), read(&scratch, "bin"), "library and binary bytes differ");
     assert_eq!(
-        truncated.status.code(),
-        Some(3),
-        "truncated campaign exits 3 (incomplete):\n{}",
-        stderr_of(&truncated)
+        doc.get("cells").and_then(Json::as_arr).map(<[Json]>::len),
+        Some(spec.cells().len()),
+        "one row per cell"
     );
-    assert!(
-        !scratch.path("cut.json").exists(),
-        "no merged document until every cell is accounted for"
-    );
-
-    // Resume in the same directory (different thread count on purpose).
-    let dir = scratch.path("dir-cut");
-    let json = scratch.path("cut.json");
-    let resumed = Command::new(BIN)
-        .args(["--spec", "tiny", "--procs", "2"])
-        .args(["--dir", dir.to_str().unwrap(), "--json", json.to_str().unwrap()])
-        .env("SWAPRAM_JOBS", "4")
-        .output()
-        .expect("campaign binary runs");
-    let err = stderr_of(&resumed);
-    assert!(resumed.status.success(), "resumed run failed:\n{err}");
-    assert!(
-        err.contains("24 cells total, 7 done, 17 pending"),
-        "resume skips the 7 completed cells:\n{err}"
-    );
-    assert_eq!(read(&scratch, "cut"), ref_bytes, "resumed bytes match the uninterrupted run");
+    assert_eq!(campaign::render(&doc).as_bytes(), out.stdout, "rendered report differs");
 }
 
 #[test]
 fn malformed_jobs_and_spec_are_clean_errors() {
     let scratch = Scratch::new("err");
-    let out = campaign(&scratch, "z", 1, 0, &[]);
+    let out = campaign(&scratch, "z", 0, &[]);
     assert_eq!(out.status.code(), Some(2), "SWAPRAM_JOBS=0 is a usage error");
     assert!(stderr_of(&out).contains("SWAPRAM_JOBS must be at least 1"), "{}", stderr_of(&out));
 
@@ -132,12 +112,23 @@ fn malformed_jobs_and_spec_are_clean_errors() {
         .expect("campaign binary runs");
     assert_eq!(out.status.code(), Some(2), "unknown spec is a usage error");
     assert!(stderr_of(&out).contains("unknown spec"), "{}", stderr_of(&out));
+
+    // A flag left over from an old script must not be silently ignored.
+    let out = campaign(&scratch, "dir", 1, &["--dir", "campaign-tiny"]);
+    assert_usage_error(&out, "unknown flag", "unknown flag \"--dir\"");
+    assert!(!scratch.path("dir.json").exists(), "a usage error runs nothing");
+
+    // A value flag at the end of the line, or followed by another flag.
+    let out = Command::new(BIN).args(["--spec", "tiny", "--json"]).output().expect("runs");
+    assert_usage_error(&out, "--json without a value", "--json needs a value");
+    let out = Command::new(BIN).args(["--spec", "--summary"]).output().expect("runs");
+    assert_usage_error(&out, "--spec followed by a flag", "--spec needs a value");
 }
 
 #[test]
-fn summary_regenerates_markdown_from_merged_json() {
+fn summary_regenerates_markdown_from_campaign_json() {
     let scratch = Scratch::new("md");
-    let run = campaign(&scratch, "ref", 1, 4, &[]);
+    let run = campaign(&scratch, "ref", 4, &[]);
     assert!(run.status.success(), "campaign run failed:\n{}", stderr_of(&run));
     let md_path = scratch.path("BENCHMARKS.md");
     let json = scratch.path("ref.json");
@@ -159,69 +150,26 @@ fn summary_regenerates_markdown_from_merged_json() {
 #[test]
 fn exec_sidecar_carries_the_nondeterministic_stats() {
     let scratch = Scratch::new("exec");
-    let run = campaign(&scratch, "ref", 1, 3, &[]);
+    let run = campaign(&scratch, "ref", 3, &[]);
     assert!(run.status.success(), "campaign run failed:\n{}", stderr_of(&run));
     let sidecar = scratch.path("ref.exec.json");
     let text = std::fs::read_to_string(&sidecar).expect("exec sidecar written");
-    let doc = experiments::json::parse(&text).expect("sidecar parses");
+    let doc = json::parse(&text).expect("sidecar parses");
     assert_eq!(
-        doc.get("jobs_per_proc").and_then(experiments::json::Json::as_u64),
+        doc.get("jobs").and_then(Json::as_u64),
         Some(3),
         "sidecar surfaces the resolved SWAPRAM_JOBS count"
     );
+    assert_eq!(doc.get("cells").and_then(Json::as_u64), Some(24), "tiny has 24 cells");
     assert!(doc.get("wall_ms").is_some(), "wall-clock lives in the sidecar");
     // ... and must NOT leak into the deterministic document.
-    let merged = read(&scratch, "ref");
-    assert!(!merged.contains("wall_ms"), "merged JSON stays wall-clock free");
-    assert!(!merged.contains("jobs_per_proc"), "merged JSON stays jobs free");
-    // The worker banner surfaces the resolved thread count (satellite:
-    // every campaign header reports its worker count).
+    let main = read(&scratch, "ref");
+    assert!(!main.contains("wall_ms"), "campaign JSON stays wall-clock free");
+    assert!(!main.contains("\"jobs\""), "campaign JSON stays jobs free");
+    // The banner surfaces the resolved thread count.
     assert!(
         stderr_of(&run).contains("3 worker thread(s) (SWAPRAM_JOBS)"),
         "{}",
         stderr_of(&run)
     );
-}
-
-/// The shard protocol tolerates a torn trailing line: whatever a killed
-/// worker managed to flush is kept, the torn tail cell just reruns.
-#[test]
-fn torn_shard_tail_reruns_instead_of_corrupting() {
-    let scratch = Scratch::new("torn");
-    let reference = campaign(&scratch, "ref", 1, 1, &[]);
-    assert!(reference.status.success(), "reference run failed:\n{}", stderr_of(&reference));
-    let ref_bytes = read(&scratch, "ref");
-
-    // Tear the last shard line mid-JSON (no trailing newline).
-    let shard_dir: &Path = &scratch.path("dir-ref").join("shards");
-    let shard = std::fs::read_dir(shard_dir)
-        .expect("shard dir")
-        .next()
-        .expect("one shard")
-        .expect("entry")
-        .path();
-    let text = std::fs::read_to_string(&shard).expect("read shard");
-    let keep: Vec<&str> = text.lines().collect();
-    let torn = format!(
-        "{}\n{}",
-        keep[..keep.len() - 1].join("\n"),
-        &keep[keep.len() - 1][..keep[keep.len() - 1].len() / 2]
-    );
-    std::fs::write(&shard, torn).expect("write torn shard");
-
-    let rerun = Command::new(BIN)
-        .args(["--spec", "tiny", "--procs", "1"])
-        .args([
-            "--dir",
-            scratch.path("dir-ref").to_str().unwrap(),
-            "--json",
-            scratch.path("ref.json").to_str().unwrap(),
-        ])
-        .env("SWAPRAM_JOBS", "1")
-        .output()
-        .expect("campaign binary runs");
-    let err = stderr_of(&rerun);
-    assert!(rerun.status.success(), "rerun after torn shard failed:\n{err}");
-    assert!(err.contains("1 pending"), "exactly the torn cell reruns:\n{err}");
-    assert_eq!(read(&scratch, "ref"), ref_bytes, "bytes unchanged after torn-tail rerun");
 }

@@ -149,7 +149,7 @@ fn lockstep(bench: Benchmark, system: &System, freq: Frequency) {
         assert_eq!(va, vb, "{}: violation diverged at step {steps}", bench.name());
         steps += 1;
         compare_regs(&a, &b, bench, steps);
-        if steps % STATS_EVERY == 0 {
+        if steps.is_multiple_of(STATS_EVERY) {
             assert_eq!(
                 a.bus().stats(),
                 b.bus().stats(),
