@@ -20,8 +20,8 @@
 //!
 //! Everything layers on the existing [`Harness`] memoization: a cell's
 //! baseline and clean reference runs ride [`Harness::measure`] (shared
-//! across cells), and faulted cells reuse the resilience episode executor
-//! rather than forking it.
+//! across cells), and faulted cells run the resilience campaign's seeded
+//! power-loss draw on the one fault-episode executor, [`crate::episode`].
 
 use crate::harness::Harness;
 use crate::json::Json;
@@ -394,34 +394,27 @@ pub fn run_cell(h: &Harness, cell: &Cell) -> Json {
                     return Json::obj(fields);
                 }
             };
-            let cfg = cell.config();
-            let row = resilience::episode(
-                built,
-                &cfg,
-                cell.bench,
-                cell.recovery,
-                seed,
-                clean_cycles,
-                cell.freq,
-            );
-            let ok = row.survived && row.correct;
-            fields.push(("status", Json::str(if ok { "ok" } else { "failed" })));
-            fields.push(("correct", Json::Bool(row.correct)));
+            let episode = resilience::loss_episode(built, seed, clean_cycles, cell.freq);
+            let losses = episode.faults.events().len() as u64;
+            let run = episode.run();
+            let replay_overhead_pct = resilience::overhead_pct(run.total_cycles, clean_cycles);
+            fields.push(("status", Json::str(if run.correct() { "ok" } else { "failed" })));
+            fields.push(("correct", Json::Bool(run.correct())));
             fields.push(("base_cycles", opt_u64(base_cycles)));
             fields.push(("clean_cycles", Json::U64(clean_cycles)));
-            fields.push(("total_cycles", Json::U64(row.total_cycles)));
+            fields.push(("total_cycles", Json::U64(run.total_cycles)));
             fields.push(("overhead_pct", opt_f64(overhead_pct)));
-            fields.push(("replay_overhead_pct", Json::F64(row.overhead_pct())));
-            fields.push(("boots", Json::U64(u64::from(row.boots))));
-            fields.push(("losses", Json::U64(u64::from(row.losses))));
-            fields.push(("ucpb", Json::F64(clean_cycles as f64 / f64::from(row.boots.max(1)))));
+            fields.push(("replay_overhead_pct", Json::F64(replay_overhead_pct)));
+            fields.push(("boots", Json::U64(u64::from(run.boots))));
+            fields.push(("losses", Json::U64(losses)));
+            fields.push(("ucpb", Json::F64(clean_cycles as f64 / f64::from(run.boots.max(1)))));
             fields.push(("misses", opt_u64(swap.map(|s| s.misses))));
             fields.push(("evictions", opt_u64(swap.map(|s| s.evictions))));
             fields.push(("bytes_copied", opt_u64(swap.map(|s| s.bytes_copied))));
-            fields.push(("degraded", Json::U64(row.degraded)));
-            fields.push(("recovered_functions", Json::U64(row.recovered_functions)));
-            if let Some(e) = &row.error {
-                fields.push(("error", Json::str(e.clone())));
+            fields.push(("degraded", Json::U64(run.stats.degraded)));
+            fields.push(("recovered_functions", Json::U64(run.stats.recovered_functions)));
+            if let Some(e) = run.error() {
+                fields.push(("error", Json::str(e)));
             }
         }
     }

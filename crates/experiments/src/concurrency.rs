@@ -24,19 +24,19 @@
 //! identical seeds yield byte-identical JSON regardless of
 //! `SWAPRAM_JOBS`.
 
+use crate::episode::{clean_cycles, draw_flip, swap_section, with_build, Episode, Outcome};
 use crate::harness::Harness;
 use crate::json::Json;
-use crate::measure::{MeasureError, SEED};
 use crate::report::Table;
-use crate::resilience::{name_tag, poke_app_state, protocol_name, recovery_name};
-use mibench::builder::{Built, MemoryProfile, Program, System};
-use mibench::{input_for, Benchmark};
+use crate::resilience::{name_tag, protocol_name, recovery_name};
+use mibench::builder::{Built, System};
+use mibench::Benchmark;
 use msp430_sim::fault::{FaultEvent, FaultKind, FaultPlan};
 use msp430_sim::freq::Frequency;
-use msp430_sim::irq::{IrqSchedule, IrqTimer};
-use msp430_sim::machine::{ExitReason, Fr2355};
+use msp430_sim::irq::IrqSchedule;
 use msp430_sim::rng::SplitMix64;
-use swapram::{IsrProtocol, RecoveryMode, SwapConfig, SwapRuntime};
+use swapram::tables::TABLES_SECTION;
+use swapram::{IsrProtocol, RecoveryMode, SwapConfig};
 
 /// Seeded interrupt schedules per benchmark/protocol/recovery cell in the
 /// full configuration.
@@ -50,42 +50,6 @@ pub const FAST_SCHEDULES: usize = 2;
 /// benchmarks.
 pub fn benchmarks() -> Vec<Benchmark> {
     Benchmark::MIBENCH.iter().chain(Benchmark::MULTITASK.iter()).copied().collect()
-}
-
-/// How an episode ended, most severe classification first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Outcome {
-    /// Wrong checksum with a clean halt — silent corruption, the one
-    /// outcome the defense stack exists to prevent.
-    SilentWrong,
-    /// The interrupt-boundary invariant oracle rejected runtime state.
-    InvariantViolation,
-    /// A typed simulation error (sanitizer trap, degradation error,
-    /// failed recovery) stopped the episode — detected, not executed
-    /// through.
-    DetectedError,
-    /// The episode exhausted its cycle budget (interrupt-storm
-    /// starvation or livelock).
-    CycleLimit,
-    /// Correct halt, but the guard layer detected and repaired at least
-    /// one preemption-clobbered metadata word along the way.
-    GuardRepaired,
-    /// Correct halt with nothing to repair.
-    Clean,
-}
-
-impl Outcome {
-    /// Short label for tables and JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            Outcome::SilentWrong => "SILENT-WRONG",
-            Outcome::InvariantViolation => "invariant-violation",
-            Outcome::DetectedError => "detected-error",
-            Outcome::CycleLimit => "cycle-limit",
-            Outcome::GuardRepaired => "guard-repaired",
-            Outcome::Clean => "clean",
-        }
-    }
 }
 
 /// One benchmark episode under one seeded interrupt schedule.
@@ -164,7 +128,7 @@ impl ConcurrencyRow {
 /// benchmarks get the timer-ISR harness; multi-task benchmarks carry
 /// their own ISR. Invariant checking is always on — every interrupt
 /// boundary runs the metadata oracle.
-fn system_for(bench: Benchmark, protocol: IsrProtocol, recovery: RecoveryMode) -> System {
+pub(crate) fn system_for(bench: Benchmark, protocol: IsrProtocol, recovery: RecoveryMode) -> System {
     let mut cfg = SwapConfig::unified_fr2355()
         .with_recovery(recovery)
         .with_isr_protocol(protocol)
@@ -181,28 +145,23 @@ fn system_for(bench: Benchmark, protocol: IsrProtocol, recovery: RecoveryMode) -
 /// Registers the deterministic row set as the report's `concurrency`
 /// section.
 pub fn run(h: &Harness, schedules: usize, base_seed: u64) -> Vec<ConcurrencyRow> {
-    let profile = MemoryProfile::unified();
     let mut items: Vec<(Benchmark, IsrProtocol, RecoveryMode, u64, usize, u64)> = Vec::new();
     for protocol in [IsrProtocol::Masked, IsrProtocol::Unprotected] {
         for recovery in [RecoveryMode::FullScan, RecoveryMode::DirtyLog] {
             for bench in benchmarks() {
                 let system = system_for(bench, protocol, recovery);
-                let clean = h
-                    .measure("concurrency", bench, &system, &profile, Frequency::MHZ_24)
-                    .unwrap_or_else(|e| panic!("{} clean run failed: {e}", bench.name()));
-                assert!(clean.correct, "{} clean run must match its oracle", bench.name());
+                let clean_cycles = clean_cycles(h, "concurrency", bench, &system);
                 for i in 0..schedules {
                     let seed = schedule_seed(base_seed, bench, protocol, recovery, i);
-                    items.push((bench, protocol, recovery, seed, i, clean.total_cycles()));
+                    items.push((bench, protocol, recovery, seed, i, clean_cycles));
                 }
             }
         }
     }
     let rows = h.parallel_map(items, |(bench, protocol, recovery, seed, i, clean_cycles)| {
-        let system = system_for(bench, protocol, recovery);
-        let built = h.build(bench, &system, &profile);
-        let built = built.as_ref().as_ref().expect("SwapRAM build fits");
-        episode(built, bench, protocol, recovery, seed, i, clean_cycles)
+        with_build(h, bench, &system_for(bench, protocol, recovery), |built| {
+            episode(built, bench, protocol, recovery, seed, i, clean_cycles)
+        })
     });
     h.add_section("concurrency", rows_json(&rows));
     rows
@@ -267,176 +226,61 @@ fn episode(
     clean_cycles: u64,
 ) -> ConcurrencyRow {
     let mut rng = SplitMix64::new(seed);
-    let mut row = ConcurrencyRow {
-        bench,
-        protocol,
-        recovery,
-        seed,
-        power_loss: index % 2 == 1,
-        bit_flip: index % 3 == 2,
-        boots: 1,
-        irq_delivered: 0,
-        irq_coalesced: 0,
-        isr_yields: 0,
-        boundary_checks: 0,
-        guard_repairs: 0,
-        fid_repairs: 0,
-        recovered_functions: 0,
-        outcome: Outcome::DetectedError,
-        survived: false,
-        correct: false,
-        clean_cycles,
-        total_cycles: 0,
-        error: None,
-    };
-    let Program::Swap(inst, built_cfg) = &built.program else {
-        row.error = Some("concurrency requires a SwapRAM build".into());
-        return row;
-    };
-    let irq = built.irq.expect("concurrency builds carry an ISR vector");
-    let input = input_for(bench, SEED);
     let schedule = schedule_for(&mut rng, bench, clean_cycles);
+    let (power_loss, bit_flip) = (index % 2 == 1, index % 3 == 2);
 
     // Composed faults: a mid-run power loss on odd episodes, a metadata
     // bit flip on every third, both inside the middle of the live window.
     let win_lo = (clean_cycles / 10).max(1);
     let win_hi = (clean_cycles * 9 / 10).max(win_lo + 2);
     let mut faults = Vec::new();
-    if row.power_loss {
+    if power_loss {
         faults.push(FaultEvent {
             cycle: win_lo + rng.below(win_hi - win_lo),
             kind: FaultKind::PowerLoss,
         });
     }
-    if row.bit_flip {
-        let (lo, hi) = tables_range(built);
-        faults.push(FaultEvent {
-            cycle: win_lo + rng.below(win_hi - win_lo),
-            kind: FaultKind::BitFlip {
-                addr: lo.wrapping_add(rng.below(u64::from(hi - u32::from(lo))) as u16),
-                bit: rng.below(8) as u8,
-            },
-        });
+    if bit_flip {
+        let cycle = win_lo + rng.below(win_hi - win_lo);
+        let (addr, bit) = draw_flip(&mut rng, swap_section(built, TABLES_SECTION));
+        faults.push(FaultEvent { cycle, kind: FaultKind::BitFlip { addr, bit } });
     }
-    let losses = u64::from(row.power_loss);
-    // Replay after the loss, denser interrupts than the reference run and
-    // Unprotected re-traps all lengthen the episode; a few reference
-    // runs' worth of cycles is a generous deterministic cap.
-    let budget = clean_cycles * (losses + 3) + 2_000_000;
-
-    let mut machine = Fr2355::machine(Frequency::MHZ_24);
-    machine.load(built.image());
-    poke_app_state(&mut machine, built, &input, false);
-    machine.bus_mut().attach_timer(IrqTimer::new(schedule, irq.vector));
-    machine.attach_fault_plan(FaultPlan::new(faults));
-    if let Some(cfg) = mibench::builder::sanitizer_for(built) {
-        machine.bus_mut().attach_sanitizer(cfg);
+    let run = Episode {
+        built,
+        freq: Frequency::MHZ_24,
+        faults: FaultPlan::new(faults),
+        irq: Some(schedule),
+        // Replay after the loss, denser interrupts than the reference run
+        // and Unprotected re-traps all lengthen the episode; a few
+        // reference runs' worth of cycles is a generous deterministic cap.
+        budget: clean_cycles * (u64::from(power_loss) + 3) + 2_000_000,
+        boot_cap: None,
+        sanitize: true,
+        audit: false,
     }
-    let mut handles = Vec::new();
-    attach_runtime(&mut machine, inst, built_cfg, &mut handles, false);
-
-    loop {
-        let out = match machine.run(budget) {
-            Ok(out) => out,
-            Err(e) => {
-                let msg = e.to_string();
-                row.outcome = if msg.contains("invariant violation") {
-                    Outcome::InvariantViolation
-                } else {
-                    Outcome::DetectedError
-                };
-                row.error = Some(msg);
-                break;
-            }
-        };
-        row.total_cycles = out.stats.total_cycles();
-        row.irq_delivered = out.stats.irq_delivered;
-        row.irq_coalesced = out.stats.irq_coalesced;
-        match out.exit {
-            ExitReason::Halted(0) => {
-                row.survived = true;
-                row.correct = out.checksum.0 == bench.oracle_checksum(&input);
-                break;
-            }
-            ExitReason::PowerLoss => {
-                row.boots += 1;
-                machine.power_cycle();
-                poke_app_state(&mut machine, built, &input, true);
-                if let Some(cfg) = mibench::builder::sanitizer_for(built) {
-                    machine.bus_mut().attach_sanitizer(cfg);
-                }
-                if !attach_runtime(&mut machine, inst, built_cfg, &mut handles, true) {
-                    row.error = Some("recovery failed".into());
-                    break;
-                }
-            }
-            ExitReason::CycleLimit => {
-                row.outcome = Outcome::CycleLimit;
-                row.error = Some(MeasureError::CycleLimit(row.total_cycles).to_string());
-                break;
-            }
-            other => {
-                row.error = Some(format!("exit {other:?}"));
-                break;
-            }
-        }
+    .run();
+    ConcurrencyRow {
+        bench,
+        protocol,
+        recovery,
+        seed,
+        power_loss,
+        bit_flip,
+        boots: run.boots,
+        irq_delivered: run.irq_delivered,
+        irq_coalesced: run.irq_coalesced,
+        isr_yields: run.stats.isr_yields,
+        boundary_checks: run.stats.boundary_checks,
+        guard_repairs: run.stats.guard_repairs,
+        fid_repairs: run.stats.fid_repairs,
+        recovered_functions: run.stats.recovered_functions,
+        outcome: run.outcome(),
+        survived: run.survived(),
+        correct: run.correct(),
+        clean_cycles,
+        total_cycles: run.total_cycles,
+        error: run.error(),
     }
-
-    for handle in handles {
-        let s = handle.borrow();
-        row.isr_yields += s.isr_yields;
-        row.boundary_checks += s.boundary_checks;
-        row.guard_repairs += s.guard_repairs;
-        row.fid_repairs += s.fid_repairs;
-        row.recovered_functions += s.recovered_functions;
-    }
-    if row.survived {
-        row.outcome = if !row.correct {
-            Outcome::SilentWrong
-        } else if row.guard_repairs > 0 || row.fid_repairs > 0 {
-            Outcome::GuardRepaired
-        } else {
-            Outcome::Clean
-        };
-    }
-    row
-}
-
-/// Constructs and attaches a fresh runtime (recovering first on reboot),
-/// registering the Masked-protocol task table when the benchmark has
-/// one. Returns `false` when recovery failed.
-fn attach_runtime(
-    machine: &mut msp430_sim::machine::Machine,
-    inst: &swapram::Instrumented,
-    cfg: &SwapConfig,
-    handles: &mut Vec<mibench::builder::SwapHandle>,
-    recover: bool,
-) -> bool {
-    let mut rt = SwapRuntime::new(inst, cfg.clone());
-    if recover && rt.recover(machine.bus_mut()).is_err() {
-        return false;
-    }
-    if cfg.isr_protocol == IsrProtocol::Masked {
-        if let Some(tcb0) = inst.assembly.symbol("__tcb0") {
-            rt.set_task_table(tcb0, 2);
-        }
-    }
-    handles.push(rt.stats_handle());
-    machine.attach_hook(Box::new(rt));
-    true
-}
-
-/// Address range of the `srtab` metadata tables (the bit-flip target).
-fn tables_range(built: &Built) -> (u16, u32) {
-    let Program::Swap(inst, _) = &built.program else {
-        unreachable!("concurrency episodes run SwapRAM builds");
-    };
-    inst.assembly
-        .sections
-        .iter()
-        .find(|(n, _, size)| n == swapram::tables::TABLES_SECTION && *size > 0)
-        .map(|(_, base, size)| (*base, u32::from(*base) + u32::from(*size)))
-        .expect("SwapRAM build lacks a metadata section")
 }
 
 /// Masked-protocol rows that violated the reentrancy contract: every

@@ -33,18 +33,18 @@
 //! byte-identical JSON (the report's `corruption` section) regardless of
 //! `SWAPRAM_JOBS`.
 
+use crate::episode::{clean_cycles, draw_flip, swap_section, with_build, End, Episode};
 use crate::harness::Harness;
 use crate::json::Json;
-use crate::measure::SEED;
 use crate::report::Table;
 use crate::resilience::name_tag;
-use mibench::builder::{run_on, Built, MemoryProfile, Program, System};
-use mibench::{input_for, Benchmark};
+use mibench::builder::{Built, System};
+use mibench::Benchmark;
 use msp430_sim::fault::{FaultEvent, FaultKind, FaultPlan};
 use msp430_sim::freq::Frequency;
-use msp430_sim::machine::{ExitReason, Fr2355, Machine};
+use msp430_sim::mem::AddrRange;
 use msp430_sim::rng::SplitMix64;
-use swapram::{SwapConfig, SwapRuntime};
+use swapram::{SwapConfig, SwapStats};
 
 /// Flips per (benchmark, region) in the full configuration.
 pub const DEFAULT_FLIPS: usize = 5;
@@ -143,25 +143,14 @@ pub(crate) fn flip_seed(base: u64, bench: Benchmark, region: FlipRegion, i: usiz
     x.next_u64().wrapping_add(tag).wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// `[lo, hi)` byte range of a flip region for a SwapRAM build.
-fn region_range(built: &Built, cfg: &SwapConfig, region: FlipRegion) -> (u16, u32) {
-    let Program::Swap(inst, _) = &built.program else {
-        unreachable!("corruption episodes run SwapRAM builds");
-    };
-    let section = |name: &str| {
-        inst.assembly
-            .sections
-            .iter()
-            .find(|(n, _, size)| n == name && *size > 0)
-            .map(|(_, base, size)| (*base, u32::from(*base) + u32::from(*size)))
-            .unwrap_or_else(|| panic!("build lacks a non-empty `{name}` section"))
-    };
+/// Byte range of a flip region for a SwapRAM build.
+fn region_range(built: &Built, cfg: &SwapConfig, region: FlipRegion) -> AddrRange {
     match region {
-        FlipRegion::Metadata => section(swapram::tables::TABLES_SECTION),
+        FlipRegion::Metadata => swap_section(built, swapram::tables::TABLES_SECTION),
         FlipRegion::CachedCode => {
-            (cfg.cache_base, u32::from(cfg.cache_base) + u32::from(cfg.cache_size))
+            AddrRange::new(cfg.cache_base, u32::from(cfg.cache_base) + u32::from(cfg.cache_size))
         }
-        FlipRegion::AppData => section("data"),
+        FlipRegion::AppData => swap_section(built, "data"),
     }
 }
 
@@ -169,26 +158,20 @@ fn region_range(built: &Built, cfg: &SwapConfig, region: FlipRegion) -> (u16, u3
 /// seeded episodes, fanned out on the harness worker pool, and registers
 /// the deterministic row set as the report's `corruption` section.
 pub fn run(h: &Harness, flips: usize, base_seed: u64) -> Vec<CorruptionRow> {
-    let profile = MemoryProfile::unified();
     let cfg = SwapConfig::unified_fr2355();
     let system = System::SwapRam(cfg.clone());
     let mut items: Vec<(Benchmark, FlipRegion, u64, u64)> = Vec::new();
     for bench in Benchmark::MIBENCH {
-        let clean = h
-            .measure("corruption", bench, &system, &profile, Frequency::MHZ_24)
-            .unwrap_or_else(|e| panic!("{} clean run failed: {e}", bench.name()));
-        assert!(clean.correct, "{} clean run must match its oracle", bench.name());
+        let clean_cycles = clean_cycles(h, "corruption", bench, &system);
         for region in FlipRegion::ALL {
             for i in 0..flips {
                 let seed = flip_seed(base_seed, bench, region, i);
-                items.push((bench, region, seed, clean.total_cycles()));
+                items.push((bench, region, seed, clean_cycles));
             }
         }
     }
     let rows = h.parallel_map(items, |(bench, region, seed, clean_cycles)| {
-        let built = h.build(bench, &system, &profile);
-        let built = built.as_ref().as_ref().expect("SwapRAM build fits");
-        episode(built, &cfg, bench, region, seed, clean_cycles)
+        with_build(h, bench, &system, |built| episode(built, &cfg, bench, region, seed, clean_cycles))
     });
     h.add_section("corruption", rows_json(&rows));
     rows
@@ -204,86 +187,62 @@ fn episode(
     clean_cycles: u64,
 ) -> CorruptionRow {
     let mut rng = SplitMix64::new(seed);
-    let (lo, hi) = region_range(built, cfg, region);
-    let addr = lo.wrapping_add(rng.below(u64::from(hi - u32::from(lo))) as u16);
-    let bit = rng.below(8) as u8;
+    let (addr, bit) = draw_flip(&mut rng, region_range(built, cfg, region));
     // Strike inside the middle 80% of the uninterrupted run, where cache
     // state is live.
     let win_lo = (clean_cycles / 10).max(1);
     let win_hi = (clean_cycles * 9 / 10).max(win_lo + 1);
     let cycle = win_lo + rng.below(win_hi - win_lo);
-    // The flip can lengthen the run (degraded FRAM execution, repairs);
-    // three clean runs' worth of cycles is a generous deterministic cap.
-    let budget = clean_cycles * 3 + 1_000_000;
+    let run = Episode {
+        built,
+        freq: Frequency::MHZ_24,
+        faults: FaultPlan::new(vec![FaultEvent { cycle, kind: FaultKind::BitFlip { addr, bit } }]),
+        irq: None,
+        // The flip can lengthen the run (degraded FRAM execution,
+        // repairs); three clean runs' worth of cycles is a generous
+        // deterministic cap.
+        budget: clean_cycles * 3 + 1_000_000,
+        boot_cap: None,
+        sanitize: true,
+        audit: true,
+    }
+    .run();
 
-    let mut row = CorruptionRow {
+    // A typed simulation error is a detection channel: the corrupted
+    // state was refused, not executed through. Such rows report no
+    // counters.
+    let stats = if matches!(run.end, End::Error(_)) { SwapStats::default() } else { run.stats.clone() };
+    let (outcome, detail) = match &run.end {
+        End::Halted { correct } => {
+            let detected =
+                stats.guard_repairs + stats.guard_degraded + stats.degraded > 0 || run.audit.is_some();
+            let outcome = match (*correct, detected) {
+                (true, false) => Outcome::Masked,
+                (true, true) => Outcome::Repaired,
+                (false, true) => Outcome::Degraded,
+                (false, false) => Outcome::SilentWrong,
+            };
+            (outcome, run.audit.clone())
+        }
+        End::Error(e) => (Outcome::Degraded, Some(e.clone())),
+        End::Stopped(reason) => (Outcome::Degraded, Some(format!("{reason:?}"))),
+        End::RecoveryFailed(_) | End::BootCap(_) => unreachable!("bit-flip episodes never lose power"),
+    };
+    CorruptionRow {
         bench,
         region,
         seed,
         addr,
         bit,
         cycle,
-        outcome: Outcome::Degraded,
-        survived: false,
-        correct: false,
-        guard_repairs: 0,
-        guard_degraded: 0,
-        degraded: 0,
-        detail: None,
-    };
-
-    let input = input_for(bench, SEED);
-    let mut machine = Fr2355::machine(Frequency::MHZ_24);
-    machine.attach_fault_plan(FaultPlan::new(vec![FaultEvent {
-        cycle,
-        kind: FaultKind::BitFlip { addr, bit },
-    }]));
-    let res = match run_on(&mut machine, built, &input, budget) {
-        Ok(res) => res,
-        Err(e) => {
-            // A typed simulation error is a detection channel: the
-            // corrupted state was refused, not executed through.
-            row.detail = Some(e.to_string());
-            return row;
-        }
-    };
-    if let Some(s) = &res.swap {
-        row.guard_repairs = s.guard_repairs;
-        row.guard_degraded = s.guard_degraded;
-        row.degraded = s.degraded;
+        outcome,
+        survived: run.survived(),
+        correct: run.correct(),
+        guard_repairs: stats.guard_repairs,
+        guard_degraded: stats.guard_degraded,
+        degraded: stats.degraded,
+        detail,
     }
-    match res.outcome.exit {
-        ExitReason::Halted(0) => {
-            row.survived = true;
-            row.correct = res.outcome.checksum.0 == bench.oracle_checksum(&input);
-            let audit = final_audit(&mut machine);
-            let detected = row.guard_repairs + row.guard_degraded + row.degraded > 0
-                || audit.is_err();
-            row.detail = audit.err();
-            row.outcome = match (row.correct, detected) {
-                (true, false) => Outcome::Masked,
-                (true, true) => Outcome::Repaired,
-                (false, true) => Outcome::Degraded,
-                (false, false) => Outcome::SilentWrong,
-            };
-        }
-        other => {
-            row.detail = Some(format!("{other:?}"));
-        }
-    }
-    row
-}
-
-/// End-of-run metadata audit: recovers the [`SwapRuntime`] from the
-/// machine hook and cross-validates every metadata word, active counter
-/// and live SRAM copy against the immutable FRAM image.
-fn final_audit(machine: &mut Machine) -> Result<(), String> {
-    let hook = machine.take_hook().ok_or_else(|| "no runtime hook attached".to_string())?;
-    let rt = hook
-        .as_any()
-        .and_then(|a| a.downcast_ref::<SwapRuntime>())
-        .ok_or_else(|| "hook is not a SwapRuntime".to_string())?;
-    swapram::invariants::audit_final(rt, machine.bus())
 }
 
 /// Serializes rows as the report's `corruption` section (deterministic;

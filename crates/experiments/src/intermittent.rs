@@ -33,20 +33,20 @@
 //! identical seeds yield byte-identical JSON regardless of
 //! `SWAPRAM_JOBS`.
 
-use crate::concurrency::Outcome;
+use crate::concurrency::system_for;
+use crate::episode::{clean_cycles, draw_flip, swap_section, with_build, Episode, Outcome};
 use crate::harness::Harness;
 use crate::json::Json;
-use crate::measure::{MeasureError, SEED};
 use crate::report::Table;
-use crate::resilience::{name_tag, poke_app_state, recovery_name};
-use mibench::builder::{Built, MemoryProfile, Program, System};
-use mibench::{input_for, Benchmark};
+use crate::resilience::{name_tag, recovery_name};
+use mibench::builder::Built;
+use mibench::Benchmark;
 use msp430_sim::fault::{EnergyShape, EnergyTrace, FaultEvent, FaultKind, FaultPlan, RECORDED_PROFILE};
 use msp430_sim::freq::Frequency;
-use msp430_sim::irq::{IrqSchedule, IrqTimer};
-use msp430_sim::machine::{ExitReason, Fr2355};
+use msp430_sim::irq::IrqSchedule;
 use msp430_sim::rng::SplitMix64;
-use swapram::{RecoveryMode, SwapConfig, SwapRuntime};
+use swapram::tables::TABLES_SECTION;
+use swapram::{IsrProtocol, RecoveryMode};
 
 /// The recovery protocols the campaign compares.
 pub const PROTOCOLS: [RecoveryMode; 3] =
@@ -215,45 +215,29 @@ impl IntermittentRow {
     }
 }
 
-/// The system configuration for one campaign cell: single-task
-/// benchmarks get the timer-ISR harness (its periodic ISR doubles as a
-/// Mementos-style commit point), multi-task benchmarks carry their own
-/// ISR; the interrupt-boundary invariant oracle is always on.
-fn system_for(bench: Benchmark, recovery: RecoveryMode) -> System {
-    let mut cfg =
-        SwapConfig::unified_fr2355().with_recovery(recovery).with_invariant_checks(true);
-    if !bench.is_multitask() {
-        cfg = cfg.with_irq_harness(true);
-    }
-    System::SwapRam(cfg)
-}
-
 /// Runs the intermittent matrix — every benchmark × the three recovery
 /// protocols × the given tiers, one seeded energy trace per cell —
 /// fanned out on the harness worker pool. Registers the deterministic
-/// row set as the report's `intermittent` section.
+/// row set as the report's `intermittent` section. Cells run the
+/// concurrency campaign's Masked configuration, whose harness ISR doubles
+/// as a Mementos-style commit point.
 pub fn run(h: &Harness, tiers: &[Tier], base_seed: u64) -> Vec<IntermittentRow> {
-    let profile = MemoryProfile::unified();
+    let system = |bench, recovery| system_for(bench, IsrProtocol::Masked, recovery);
     let mut items: Vec<(Benchmark, RecoveryMode, Tier, u64, usize, u64)> = Vec::new();
     for recovery in PROTOCOLS {
         for bench in crate::concurrency::benchmarks() {
-            let system = system_for(bench, recovery);
-            let clean = h
-                .measure("intermittent", bench, &system, &profile, Frequency::MHZ_24)
-                .unwrap_or_else(|e| panic!("{} clean run failed: {e}", bench.name()));
-            assert!(clean.correct, "{} clean run must match its oracle", bench.name());
+            let clean_cycles = clean_cycles(h, "intermittent", bench, &system(bench, recovery));
             for tier in tiers {
                 let seed = episode_seed(base_seed, bench, recovery, *tier);
                 let index = items.len();
-                items.push((bench, recovery, *tier, seed, index, clean.total_cycles()));
+                items.push((bench, recovery, *tier, seed, index, clean_cycles));
             }
         }
     }
     let rows = h.parallel_map(items, |(bench, recovery, tier, seed, index, clean_cycles)| {
-        let system = system_for(bench, recovery);
-        let built = h.build(bench, &system, &profile);
-        let built = built.as_ref().as_ref().expect("SwapRAM build fits");
-        episode(built, bench, recovery, tier, seed, index, clean_cycles)
+        with_build(h, bench, &system(bench, recovery), |built| {
+            episode(built, bench, recovery, tier, seed, index, clean_cycles)
+        })
     });
     h.add_section("intermittent", rows_json(&rows));
     rows
@@ -282,7 +266,6 @@ fn schedule_for(rng: &mut SplitMix64, bench: Benchmark) -> IrqSchedule {
 
 /// Executes one benchmark on one seeded energy trace and classifies the
 /// episode.
-#[allow(clippy::too_many_lines)]
 fn episode(
     built: &Built,
     bench: Benchmark,
@@ -297,181 +280,58 @@ fn episode(
     let horizon = tier.horizon(clean_cycles);
     let trace = EnergyTrace::new(tier.shape(), budget, rng.next_u64());
     let plan = trace.plan_until(horizon);
-
-    let mut row = IntermittentRow {
-        bench,
-        recovery,
-        tier,
-        seed,
-        budget,
-        losses: plan.events().len() as u32,
-        bit_flip: index % 3 == 2,
-        boots: 1,
-        resumes: 0,
-        checkpoint_commits: 0,
-        checkpoint_skips: 0,
-        torn_checkpoints: 0,
-        watchdog_degradations: 0,
-        watchdog_fallbacks: 0,
-        recovered_functions: 0,
-        irq_delivered: 0,
-        survived: false,
-        correct: false,
-        clean_cycles,
-        total_cycles: 0,
-        outcome: Outcome::DetectedError,
-        error: None,
-    };
-    let Program::Swap(inst, cfg) = &built.program else {
-        row.error = Some("intermittent requires a SwapRAM build".into());
-        return row;
-    };
-    let irq = built.irq.expect("intermittent builds carry an ISR vector");
-    let input = input_for(bench, SEED);
+    let losses = plan.events().len() as u32;
+    let bit_flip = index % 3 == 2;
     let schedule = schedule_for(&mut rng, bench);
 
     // Compose a metadata bit flip into every third episode, inside the
     // first stretch of the horizon so recovery and the guards see it
     // while losses are still arriving.
     let mut faults = plan.events().to_vec();
-    if row.bit_flip {
-        let (lo, hi) = tables_range(built);
-        let win = horizon.min(clean_cycles.max(2));
-        faults.push(FaultEvent {
-            cycle: 1 + rng.below(win),
-            kind: FaultKind::BitFlip {
-                addr: lo.wrapping_add(rng.below(u64::from(hi - u32::from(lo))) as u16),
-                bit: rng.below(8) as u8,
-            },
-        });
+    if bit_flip {
+        let cycle = 1 + rng.below(horizon.min(clean_cycles.max(2)));
+        let (addr, bit) = draw_flip(&mut rng, swap_section(built, TABLES_SECTION));
+        faults.push(FaultEvent { cycle, kind: FaultKind::BitFlip { addr, bit } });
     }
-
-    let mut machine = Fr2355::machine(Frequency::MHZ_24);
-    machine.load(built.image());
-    poke_app_state(&mut machine, built, &input, false);
-    machine.bus_mut().attach_timer(IrqTimer::new(schedule, irq.vector));
-    machine.attach_fault_plan(FaultPlan::new(faults));
-    if let Some(scfg) = mibench::builder::sanitizer_for(built) {
-        machine.bus_mut().attach_sanitizer(scfg);
+    let run = Episode {
+        built,
+        freq: Frequency::MHZ_24,
+        faults: FaultPlan::new(faults),
+        irq: Some(schedule),
+        budget: horizon,
+        boot_cap: Some(tier.boot_cap()),
+        sanitize: true,
+        audit: false,
     }
-    let mut handles = Vec::new();
-    {
-        let mut rt = SwapRuntime::new(inst, cfg.clone());
-        if let Some(tcb0) = inst.assembly.symbol("__tcb0") {
-            rt.set_task_table(tcb0, 2);
-        }
-        handles.push(rt.stats_handle());
-        machine.attach_hook(Box::new(rt));
+    .run();
+    IntermittentRow {
+        bench,
+        recovery,
+        tier,
+        seed,
+        budget,
+        losses,
+        bit_flip,
+        boots: run.boots,
+        resumes: run.stats.resumes,
+        checkpoint_commits: run.stats.checkpoint_commits,
+        checkpoint_skips: run.stats.checkpoint_skips,
+        torn_checkpoints: run.stats.torn_checkpoints,
+        watchdog_degradations: run.stats.watchdog_degradations,
+        watchdog_fallbacks: run.stats.watchdog_fallbacks,
+        recovered_functions: run.stats.recovered_functions,
+        irq_delivered: run.irq_delivered,
+        survived: run.survived(),
+        correct: run.correct(),
+        clean_cycles,
+        total_cycles: run.total_cycles,
+        // This campaign's rows do not single out guard repairs.
+        outcome: match run.outcome() {
+            Outcome::GuardRepaired => Outcome::Clean,
+            outcome => outcome,
+        },
+        error: run.error(),
     }
-
-    loop {
-        let out = match machine.run(horizon) {
-            Ok(out) => out,
-            Err(e) => {
-                let msg = e.to_string();
-                row.outcome = if msg.contains("invariant violation") {
-                    Outcome::InvariantViolation
-                } else {
-                    Outcome::DetectedError
-                };
-                row.error = Some(msg);
-                break;
-            }
-        };
-        row.total_cycles = out.stats.total_cycles();
-        row.irq_delivered = out.stats.irq_delivered;
-        match out.exit {
-            ExitReason::Halted(0) => {
-                row.survived = true;
-                row.correct = out.checksum.0 == bench.oracle_checksum(&input);
-                break;
-            }
-            ExitReason::PowerLoss => {
-                if row.boots >= tier.boot_cap() {
-                    row.outcome = Outcome::CycleLimit;
-                    row.error = Some(format!("boot cap {} reached", tier.boot_cap()));
-                    break;
-                }
-                row.boots += 1;
-                machine.power_cycle();
-                if let Some(scfg) = mibench::builder::sanitizer_for(built) {
-                    machine.bus_mut().attach_sanitizer(scfg);
-                }
-                let mut rt = SwapRuntime::new(inst, cfg.clone());
-                let recovered = if recovery == RecoveryMode::PersistentStack {
-                    let (cpu, bus) = machine.cpu_bus_mut();
-                    match rt.recover_resume(cpu, bus) {
-                        Ok(o) => {
-                            row.resumes += u64::from(o.resumed);
-                            if !o.resumed {
-                                // Nothing to resume: replay from entry on a
-                                // re-initialized application image (the
-                                // resume area and metadata are preserved).
-                                poke_app_state(&mut machine, built, &input, true);
-                            }
-                            Ok(())
-                        }
-                        Err(e) => Err(e),
-                    }
-                } else {
-                    let r = rt.recover(machine.bus_mut()).map(|_| ());
-                    poke_app_state(&mut machine, built, &input, true);
-                    r
-                };
-                if let Err(e) = recovered {
-                    let msg = e.to_string();
-                    row.outcome = if msg.contains("invariant violation") {
-                        Outcome::InvariantViolation
-                    } else {
-                        Outcome::DetectedError
-                    };
-                    row.error = Some(format!("recovery failed: {msg}"));
-                    break;
-                }
-                if let Some(tcb0) = inst.assembly.symbol("__tcb0") {
-                    rt.set_task_table(tcb0, 2);
-                }
-                handles.push(rt.stats_handle());
-                machine.attach_hook(Box::new(rt));
-            }
-            ExitReason::CycleLimit => {
-                row.outcome = Outcome::CycleLimit;
-                row.error = Some(MeasureError::CycleLimit(row.total_cycles).to_string());
-                break;
-            }
-            other => {
-                row.error = Some(format!("exit {other:?}"));
-                break;
-            }
-        }
-    }
-
-    for handle in handles {
-        let s = handle.borrow();
-        row.checkpoint_commits += s.checkpoint_commits;
-        row.checkpoint_skips += s.checkpoint_skips;
-        row.torn_checkpoints += s.torn_checkpoints;
-        row.watchdog_degradations += s.watchdog_degradations;
-        row.watchdog_fallbacks += s.watchdog_fallbacks;
-        row.recovered_functions += s.recovered_functions;
-    }
-    if row.survived {
-        row.outcome = if !row.correct { Outcome::SilentWrong } else { Outcome::Clean };
-    }
-    row
-}
-
-/// Address range of the `srtab` metadata tables (the bit-flip target).
-fn tables_range(built: &Built) -> (u16, u32) {
-    let Program::Swap(inst, _) = &built.program else {
-        unreachable!("intermittent episodes run SwapRAM builds");
-    };
-    inst.assembly
-        .sections
-        .iter()
-        .find(|(n, _, size)| n == swapram::tables::TABLES_SECTION && *size > 0)
-        .map(|(_, base, size)| (*base, u32::from(*base) + u32::from(*size)))
-        .expect("SwapRAM build lacks a metadata section")
 }
 
 /// Rows that ended in silent wrong output — must be empty on every tier

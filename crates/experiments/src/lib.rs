@@ -3,9 +3,10 @@
 //! One module per table/figure of the SwapRAM paper's evaluation (§2, §5),
 //! each with a `run(&Harness, ..)` that declares its measurement matrix
 //! and a `render()` that prints the same rows/series the paper reports.
-//! Binaries under `src/bin/` wrap each module; `cargo run -p experiments
-//! --release --bin all` regenerates everything (the content of
-//! EXPERIMENTS.md) plus the machine-readable `BENCH_experiments.json`.
+//! Binaries under `src/bin/` wrap the paper's tables and figures; `cargo
+//! run -p experiments --release --bin all` regenerates everything (the
+//! content of EXPERIMENTS.md, the four fault campaigns included) plus the
+//! machine-readable `BENCH_experiments.json`.
 //!
 //! All modules share one [`harness::Harness`]: builds are memoized per
 //! (benchmark, system, memory profile), simulations are memoized per
@@ -27,12 +28,14 @@
 //! | [`corruption`]| seeded bit-flip injection vs. the defense stack |
 //! | [`concurrency`]| timer interrupts + preemptive tasks vs. reentrancy |
 //! | [`intermittent`]| harvested-energy traces vs. forward progress      |
+//! | [`episode`]| the one fault-episode executor the four campaigns share |
 //! | [`campaign`]| in-process config sweep, key-ordered rows      |
 
 pub mod ablation;
 pub mod campaign;
 pub mod concurrency;
 pub mod corruption;
+pub mod episode;
 pub mod fig1;
 pub mod fig10;
 pub mod fig7;

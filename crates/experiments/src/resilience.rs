@@ -1,34 +1,23 @@
 //! Resilience experiment — intermittent execution under injected power
 //! loss (the paper's fault model, §3.3): every MiBench benchmark runs
 //! under a set of seeded power-loss schedules; each reboot performs the
-//! SwapRAM boot-time recovery protocol and the episode must still produce
-//! the benchmark's oracle checksum.
-//!
-//! What a reboot does, mirroring the hardware model:
-//!
-//! * SRAM (the software cache) and registers vanish; FRAM persists.
-//! * Application FRAM state (code, data, input buffers) is restored to its
-//!   initial image — application-level checkpointing is an orthogonal
-//!   concern (JIT checkpointing per Hibernus/QuickRecall); this experiment
-//!   isolates the *caching runtime's* crash consistency.
-//! * The `srtab` metadata section is deliberately **not** restored: it
-//!   carries whatever torn redirection/relocation state the power loss
-//!   left behind, and [`swapram::SwapRuntime::recover`] must repair it.
+//! SwapRAM boot-time recovery protocol (see [`crate::episode`] for what a
+//! reboot restores) and the episode must still produce the benchmark's
+//! oracle checksum.
 //!
 //! Rows carry only deterministic quantities (no wall-clock), so identical
 //! seeds yield byte-identical JSON regardless of `SWAPRAM_JOBS`.
 
+use crate::episode::{clean_cycles, with_build, Episode};
 use crate::harness::Harness;
 use crate::json::Json;
-use crate::measure::{MeasureError, SEED};
 use crate::report::Table;
-use mibench::builder::{Built, MemoryProfile, Program, System};
-use mibench::{input_for, Benchmark};
+use mibench::builder::{Built, System};
+use mibench::Benchmark;
 use msp430_sim::fault::FaultPlan;
 use msp430_sim::freq::Frequency;
-use msp430_sim::machine::{ExitReason, Fr2355, Machine};
 use msp430_sim::rng::SplitMix64;
-use swapram::{IsrProtocol, PolicyKind, RecoveryMode, SwapConfig, SwapRuntime};
+use swapram::{IsrProtocol, PolicyKind, RecoveryMode, SwapConfig};
 
 /// Environment variable overriding the base fault seed.
 pub const FAULT_SEED_ENV: &str = "SWAPRAM_FAULT_SEED";
@@ -123,17 +112,13 @@ pub struct ResilienceRow {
 impl ResilienceRow {
     /// Replay + recovery overhead relative to the uninterrupted run.
     pub fn overhead_pct(&self) -> f64 {
-        if self.clean_cycles == 0 {
-            return 0.0;
-        }
-        (self.total_cycles as f64 / self.clean_cycles as f64 - 1.0) * 100.0
+        overhead_pct(self.total_cycles, self.clean_cycles)
     }
 }
 
 /// The SwapRAM system configuration under a given recovery protocol.
-fn system_for(recovery: RecoveryMode) -> (System, SwapConfig) {
-    let cfg = SwapConfig::unified_fr2355().with_recovery(recovery);
-    (System::SwapRam(cfg.clone()), cfg)
+fn system_for(recovery: RecoveryMode) -> System {
+    System::SwapRam(SwapConfig::unified_fr2355().with_recovery(recovery))
 }
 
 /// Runs the full resilience matrix: every MiBench benchmark × both
@@ -141,18 +126,12 @@ fn system_for(recovery: RecoveryMode) -> (System, SwapConfig) {
 /// out on the harness worker pool. Also registers the deterministic row
 /// set as the report's `resilience` section.
 pub fn run(h: &Harness, schedules: usize, base_seed: u64) -> Vec<ResilienceRow> {
-    let profile = MemoryProfile::unified();
     let mut items: Vec<(Benchmark, RecoveryMode, u64, u64)> = Vec::new();
     for recovery in [RecoveryMode::FullScan, RecoveryMode::DirtyLog] {
-        let (system, _) = system_for(recovery);
         for bench in Benchmark::MIBENCH {
             // The uninterrupted reference run rides the normal memoized
             // pipeline (and lands in the report's `runs`, tagged).
-            let clean = h
-                .measure("resilience", bench, &system, &profile, Frequency::MHZ_24)
-                .unwrap_or_else(|e| panic!("{} clean run failed: {e}", bench.name()));
-            assert!(clean.correct, "{} clean run must match its oracle", bench.name());
-            let clean_cycles = clean.total_cycles();
+            let clean_cycles = clean_cycles(h, "resilience", bench, &system_for(recovery));
             for i in 0..schedules {
                 let seed = schedule_seed(base_seed, bench, recovery, i);
                 items.push((bench, recovery, seed, clean_cycles));
@@ -160,10 +139,9 @@ pub fn run(h: &Harness, schedules: usize, base_seed: u64) -> Vec<ResilienceRow> 
         }
     }
     let rows = h.parallel_map(items, |(bench, recovery, seed, clean_cycles)| {
-        let (system, cfg) = system_for(recovery);
-        let built = h.build(bench, &system, &profile);
-        let built = built.as_ref().as_ref().expect("SwapRAM build fits");
-        episode(built, &cfg, bench, recovery, seed, clean_cycles, Frequency::MHZ_24)
+        with_build(h, bench, &system_for(recovery), |built| {
+            episode(built, bench, recovery, seed, clean_cycles)
+        })
     });
     h.add_section("resilience", rows_json(&rows));
     rows
@@ -181,140 +159,56 @@ fn schedule_seed(base: u64, bench: Benchmark, recovery: RecoveryMode, i: usize) 
     x.next_u64().wrapping_add(tag).wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// Executes one benchmark under one interruption schedule: run until power
-/// loss, reboot (SRAM/registers cleared, app FRAM restored, metadata kept
-/// torn), recover, repeat until the program halts or the budget runs out.
-/// Also the campaign engine's faulted-cell executor — the `cfg` carries
-/// the swept cache geometry/policy and `freq` the swept operating point.
-pub(crate) fn episode(
+/// The seeded power-loss episode behind every resilience row and every
+/// faulted campaign cell: 1–3 losses inside the middle 80% of the clean
+/// run, replay recovery, no sanitizer.
+pub(crate) fn loss_episode(built: &Built, seed: u64, clean_cycles: u64, freq: Frequency) -> Episode<'_> {
+    let mut rng = SplitMix64::new(seed);
+    let losses = 1 + rng.below(3) as usize;
+    let window = (clean_cycles / 10).max(1)..(clean_cycles * 9 / 10).max(2);
+    let faults = FaultPlan::power_losses(rng.next_u64(), losses, window);
+    // Every reboot replays a prefix plus pays recovery; (losses + 2)
+    // uninterrupted runs' worth of cycles is a generous, deterministic cap.
+    // Deduplication may have dropped some of the drawn losses.
+    let budget = clean_cycles * (faults.events().len() as u64 + 2) + 1_000_000;
+    Episode { built, freq, faults, irq: None, budget, boot_cap: None, sanitize: false, audit: false }
+}
+
+/// Replay + recovery overhead of `total_cycles` relative to the
+/// uninterrupted run.
+pub(crate) fn overhead_pct(total_cycles: u64, clean_cycles: u64) -> f64 {
+    if clean_cycles == 0 {
+        return 0.0;
+    }
+    (total_cycles as f64 / clean_cycles as f64 - 1.0) * 100.0
+}
+
+/// Executes one benchmark under one interruption schedule.
+fn episode(
     built: &Built,
-    cfg: &SwapConfig,
     bench: Benchmark,
     recovery: RecoveryMode,
     seed: u64,
     clean_cycles: u64,
-    freq: Frequency,
 ) -> ResilienceRow {
-    let mut rng = SplitMix64::new(seed);
-    let losses = 1 + rng.below(3) as u32;
-    let window = (clean_cycles / 10).max(1)..(clean_cycles * 9 / 10).max(2);
-    let plan = FaultPlan::power_losses(rng.next_u64(), losses as usize, window);
-    let losses = plan.events().len() as u32; // deduplication may drop some
-    // Every reboot replays a prefix plus pays recovery; (losses + 2)
-    // uninterrupted runs' worth of cycles is a generous, deterministic cap.
-    let budget = clean_cycles * (u64::from(losses) + 2) + 1_000_000;
-
-    let mut row = ResilienceRow {
+    let episode = loss_episode(built, seed, clean_cycles, Frequency::MHZ_24);
+    let losses = episode.faults.events().len() as u32;
+    let run = episode.run();
+    ResilienceRow {
         bench,
         recovery,
         seed,
         losses,
-        boots: 1,
-        survived: false,
-        correct: false,
+        boots: run.boots,
+        survived: run.survived(),
+        correct: run.correct(),
         clean_cycles,
-        total_cycles: 0,
-        recovered_functions: 0,
-        degraded: 0,
-        journal_appends: 0,
-        journal_fallbacks: 0,
-        error: None,
-    };
-
-    let Program::Swap(inst, _) = &built.program else {
-        row.error = Some("resilience requires a SwapRAM build".into());
-        return row;
-    };
-    let input = input_for(bench, SEED);
-
-    let mut machine = Fr2355::machine(freq);
-    machine.load(built.image());
-    poke_app_state(&mut machine, built, &input, false);
-    machine.attach_fault_plan(plan);
-    let mut handles = Vec::new();
-    {
-        let rt = SwapRuntime::new(inst, cfg.clone());
-        handles.push(rt.stats_handle());
-        machine.attach_hook(Box::new(rt));
-    }
-
-    loop {
-        let out = match machine.run(budget) {
-            Ok(out) => out,
-            Err(e) => {
-                row.error = Some(e.to_string());
-                break;
-            }
-        };
-        row.total_cycles = out.stats.total_cycles();
-        match out.exit {
-            ExitReason::Halted(0) => {
-                row.survived = true;
-                row.correct = out.checksum.0 == bench.oracle_checksum(&input);
-                break;
-            }
-            ExitReason::PowerLoss => {
-                row.boots += 1;
-                machine.power_cycle();
-                poke_app_state(&mut machine, built, &input, true);
-                let mut rt = SwapRuntime::new(inst, cfg.clone());
-                if let Err(e) = rt.recover(machine.bus_mut()) {
-                    row.error = Some(format!("recovery failed: {e}"));
-                    break;
-                }
-                handles.push(rt.stats_handle());
-                machine.attach_hook(Box::new(rt));
-            }
-            ExitReason::CycleLimit => {
-                // DNF: record the episode as not survived, not an error.
-                row.error = Some(MeasureError::CycleLimit(row.total_cycles).to_string());
-                break;
-            }
-            other => {
-                row.error = Some(format!("exit {other:?}"));
-                break;
-            }
-        }
-    }
-
-    for handle in handles {
-        let s = handle.borrow();
-        row.recovered_functions += s.recovered_functions;
-        row.degraded += s.degraded;
-        row.journal_appends += s.journal_appends;
-        row.journal_fallbacks += s.journal_fallbacks;
-    }
-    row
-}
-
-/// (Re)initializes application state: every image segment except the
-/// `srtab` metadata tables and the `srres` resume area, plus the input
-/// and corpus buffers. On reboot (`skip_metadata`) the metadata section
-/// is left exactly as the power loss tore it — that is what recovery
-/// must repair — and the resume area keeps its committed checkpoint
-/// frames and watchdog words, which must survive every reboot.
-pub(crate) fn poke_app_state(machine: &mut Machine, built: &Built, input: &[u8], skip_metadata: bool) {
-    let (tables_base, resume_base) = match &built.program {
-        Program::Swap(_, cfg) => (cfg.tables_base, cfg.resume_base),
-        _ => (0, 0),
-    };
-    if skip_metadata {
-        for seg in &built.image().segments {
-            if seg.addr == tables_base || seg.addr == resume_base {
-                continue;
-            }
-            for (i, b) in seg.bytes.iter().enumerate() {
-                machine.bus_mut().poke_byte(seg.addr.wrapping_add(i as u16), *b);
-            }
-        }
-    }
-    for (i, b) in input.iter().enumerate() {
-        machine.bus_mut().poke_byte(built.input_addr.wrapping_add(i as u16), *b);
-    }
-    if let Some(base) = built.corpus_addr {
-        for (i, b) in mibench::corpus::text().iter().enumerate() {
-            machine.bus_mut().poke_byte(base.wrapping_add(i as u16), *b);
-        }
+        total_cycles: run.total_cycles,
+        recovered_functions: run.stats.recovered_functions,
+        degraded: run.stats.degraded,
+        journal_appends: run.stats.journal_appends,
+        journal_fallbacks: run.stats.journal_fallbacks,
+        error: run.error(),
     }
 }
 

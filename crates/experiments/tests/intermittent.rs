@@ -7,7 +7,7 @@
 //! or a detected watchdog degradation — never an undetected livelock.
 
 use experiments::intermittent::{self, IntermittentRow, Tier};
-use experiments::concurrency::Outcome;
+use experiments::episode::Outcome;
 use experiments::{resilience, Harness};
 use mibench::Benchmark;
 use swapram::RecoveryMode;

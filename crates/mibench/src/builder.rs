@@ -448,6 +448,18 @@ pub fn prepare(
     input: &[u8],
 ) -> msp430_sim::SimResult<(Option<SwapHandle>, Option<BlockHandle>)> {
     machine.load(built.image());
+    poke_inputs(machine, built, input);
+    if let Some(irq) = &built.irq {
+        let schedule = IrqSchedule::periodic(irq.default_period, irq.default_period);
+        machine.bus_mut().attach_timer(IrqTimer::new(schedule, irq.vector));
+    }
+    attach(machine, built)
+}
+
+/// Writes `input` into the build's input buffer and, for benchmarks that
+/// scan a text corpus, the corpus into its buffer (host-side, no
+/// accounting).
+pub fn poke_inputs(machine: &mut Machine, built: &Built, input: &[u8]) {
     for (i, b) in input.iter().enumerate() {
         machine.bus_mut().poke_byte(built.input_addr.wrapping_add(i as u16), *b);
     }
@@ -456,11 +468,20 @@ pub fn prepare(
             machine.bus_mut().poke_byte(base.wrapping_add(i as u16), *b);
         }
     }
-    if let Some(irq) = &built.irq {
-        let schedule = IrqSchedule::periodic(irq.default_period, irq.default_period);
-        machine.bus_mut().attach_timer(IrqTimer::new(schedule, irq.vector));
+}
+
+/// A fresh SwapRAM runtime for `inst`. Under the Masked protocol the
+/// runtime trusts the scheduler's task-control blocks (`__tcb0`, when
+/// the build has them): suspended task stacks are scanned for return
+/// addresses that pin cached copies against eviction.
+pub fn swap_runtime(inst: &Instrumented, cfg: &SwapConfig) -> SwapRuntime {
+    let mut rt = SwapRuntime::new(inst, cfg.clone());
+    if cfg.isr_protocol == swapram::IsrProtocol::Masked {
+        if let Some(tcb0) = inst.assembly.symbol("__tcb0") {
+            rt.set_task_table(tcb0, 2);
+        }
     }
-    attach(machine, built)
+    rt
 }
 
 /// Shared handle to the SwapRAM runtime's counters, live while the
@@ -470,7 +491,7 @@ pub type SwapHandle = std::rc::Rc<std::cell::RefCell<SwapStats>>;
 pub type BlockHandle = std::rc::Rc<std::cell::RefCell<BlockStats>>;
 
 /// Range of a named non-empty section.
-fn section_range(assembly: &Assembly, name: &str) -> Option<AddrRange> {
+pub fn section_range(assembly: &Assembly, name: &str) -> Option<AddrRange> {
     assembly
         .sections
         .iter()
@@ -552,15 +573,7 @@ fn attach(
     match &built.program {
         Program::Base(_) => Ok((None, None)),
         Program::Swap(inst, cfg) => {
-            let mut rt = SwapRuntime::new(inst, cfg.clone());
-            // Under the Masked protocol the runtime trusts the scheduler's
-            // task-control blocks: suspended task stacks are scanned for
-            // return addresses that pin cached copies against eviction.
-            if cfg.isr_protocol == swapram::IsrProtocol::Masked {
-                if let Some(tcb0) = inst.assembly.symbol("__tcb0") {
-                    rt.set_task_table(tcb0, 2);
-                }
-            }
+            let rt = swap_runtime(inst, cfg);
             let h = rt.stats_handle();
             machine.attach_hook(Box::new(rt));
             Ok((Some(h), None))

@@ -1,6 +1,7 @@
 //! Runtime counters for cache behaviour analysis.
 
 use std::fmt;
+use std::ops::AddAssign;
 
 /// Counters the SwapRAM runtime maintains across a run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -91,6 +92,26 @@ impl SwapStats {
     }
 }
 
+impl AddAssign<&SwapStats> for SwapStats {
+    /// Sums every counter, e.g. over the runtimes of successive boots.
+    fn add_assign(&mut self, o: &SwapStats) {
+        macro_rules! sum {
+            ($($f:ident),*) => {{
+                // Exhaustive, so a new counter cannot be left out.
+                let SwapStats { $($f),* } = o;
+                $(self.$f += $f;)*
+            }};
+        }
+        sum!(
+            misses, fills, evictions, active_fallbacks, frozen_fallbacks, too_large, freezes,
+            bytes_copied, rechains, degraded, recoveries, recovered_functions, journal_appends,
+            journal_fallbacks, guard_checks, guard_repairs, guard_degraded, isr_yields,
+            boundary_checks, fid_repairs, checkpoint_commits, checkpoint_skips, resumes,
+            torn_checkpoints, watchdog_degradations, watchdog_fallbacks
+        );
+    }
+}
+
 impl fmt::Display for SwapStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -119,5 +140,12 @@ mod tests {
         s.active_fallbacks = 2;
         s.frozen_fallbacks = 3;
         assert!((s.fallback_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn add_assign_sums_counters() {
+        let mut a = SwapStats { misses: 1, watchdog_fallbacks: 2, ..SwapStats::new() };
+        a += &SwapStats { misses: 3, resumes: 4, watchdog_fallbacks: 5, ..SwapStats::new() };
+        assert_eq!(a, SwapStats { misses: 4, resumes: 4, watchdog_fallbacks: 7, ..SwapStats::new() });
     }
 }
