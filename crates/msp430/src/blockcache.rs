@@ -7,9 +7,16 @@
 //! identical points — while eliminating the per-step fetch/decode work and
 //! dispatching precomputed cycle/category/accounting plans instead. When
 //! the machine proves nothing can observe instruction boundaries (no fault
-//! plan, no profiler), [`BlockEngine::step_batched`] executes whole
+//! plan, profiler or timer), [`BlockEngine::step_batched`] executes whole
 //! straight-line runs per call with the run loop's checks replicated
 //! inline, eliminating the per-instruction dispatch overhead too.
+//!
+//! Both calls find their block the same way: the straight-line cursor
+//! left by the previous call, else the block starting at the PC, else a
+//! fresh build. Fetch accounting goes through three [`crate::mem::Bus`]
+//! routines: `add_sram_ifetch` for SRAM text, `account_fram_ifetch` for
+//! the contiguous FRAM words of one instruction or one batched run, and
+//! `read_word` for the words the sanitizer must see one at a time.
 //!
 //! # Invalidation contract
 //!
@@ -40,9 +47,9 @@
 //! exact fault/stat behaviour.
 
 use crate::cpu::Cpu;
-use crate::decode::{build_block, Block, ExecPlan, Plan};
+use crate::decode::{build_block, Block, DecodedInstr, ExecPlan, Plan};
 use crate::error::SimResult;
-use crate::mem::Bus;
+use crate::mem::{AccessKind, Bus};
 
 /// The `starts` table stores `slot + 1` so that 0 means "no block starts
 /// at this address" — an all-zero table lets construction use the
@@ -140,53 +147,14 @@ impl BlockEngine {
     /// Exactly the conditions under which the interpreter errors, with the
     /// same partial state (PC advanced past the fetch, fetch accounting
     /// charged, instruction/cycle counts not).
+    #[inline]
     pub fn step(&mut self, cpu: &mut Cpu, bus: &mut Bus) -> SimResult<()> {
-        if bus.sanitizer_epoch() != self.seen_epoch {
-            self.reset(bus);
-        }
-        if bus.code_watch_gen() != self.seen_gen {
-            self.drain(bus);
-        }
-        let pc = cpu.pc();
-        let (slot, idx) = match self.cursor {
-            Some((slot, idx))
-                if self.arena[slot as usize]
-                    .as_ref()
-                    .is_some_and(|b| idx < b.instrs.len() && b.instrs[idx].pc == pc) =>
-            {
-                (slot, idx)
-            }
-            _ => {
-                let s = self.starts[usize::from(pc)];
-                if s != NO_BLOCK {
-                    (s - 1, 0)
-                } else if let Some(slot) = self.build_at(bus, pc) {
-                    (slot, 0)
-                } else {
-                    self.cursor = None;
-                    self.delegated += 1;
-                    cpu.step(bus)?;
-                    return Ok(());
-                }
-            }
-        };
+        let Some((slot, idx)) = self.locate(cpu, bus)? else { return Ok(()) };
         let block = self.arena[slot as usize].as_ref().expect("validated slot");
-        let di = &block.instrs[idx];
-        let len = block.instrs.len();
-        match exec_one(cpu, bus, di) {
-            Ok(()) => {
-                self.cursor = if cpu.pc() == di.next_pc && idx + 1 < len {
-                    Some((slot, idx + 1))
-                } else {
-                    None
-                };
-                Ok(())
-            }
-            Err(e) => {
-                self.cursor = None;
-                Err(e)
-            }
+        if exec_step(cpu, bus, block, idx)? {
+            self.cursor = Some((slot, idx + 1));
         }
+        Ok(())
     }
 
     /// Executes as many consecutive instructions of the current block as
@@ -208,113 +176,50 @@ impl BlockEngine {
     /// As [`BlockEngine::step`]: identical conditions and partial state to
     /// the interpreter, with every fully-executed prior instruction's
     /// effects committed.
+    #[inline]
     pub fn step_batched(&mut self, cpu: &mut Cpu, bus: &mut Bus, max_cycles: u64) -> SimResult<()> {
-        if bus.sanitizer_epoch() != self.seen_epoch {
-            self.reset(bus);
-        }
-        if bus.code_watch_gen() != self.seen_gen {
-            self.drain(bus);
-        }
-        let pc = cpu.pc();
-        let (slot, mut idx) = match self.cursor {
-            Some((slot, idx))
-                if self.arena[slot as usize]
-                    .as_ref()
-                    .is_some_and(|b| idx < b.instrs.len() && b.instrs[idx].pc == pc) =>
-            {
-                (slot, idx)
-            }
-            _ => {
-                let s = self.starts[usize::from(pc)];
-                if s != NO_BLOCK {
-                    (s - 1, 0)
-                } else if let Some(slot) = self.build_at(bus, pc) {
-                    (slot, 0)
-                } else {
-                    self.cursor = None;
-                    self.delegated += 1;
-                    cpu.step(bus)?;
-                    return Ok(());
-                }
-            }
-        };
+        let Some((slot, mut idx)) = self.locate(cpu, bus)? else { return Ok(()) };
         let block = self.arena[slot as usize].as_ref().expect("validated slot");
-        let len = block.instrs.len();
         // When the remaining cycle budget exceeds the block suffix's
-        // worst-case cost, no per-instruction cycle check can fire before
-        // the block ends, and — since every non-terminator instruction in
-        // a block provably falls through (only terminators can write the
-        // PC, and they are always last) — no fall-through check is needed
-        // either. The hot path below therefore polls only what each
-        // instruction can actually trip: nothing for no-poll instructions
-        // (loads and pure ALU ops — see `DecodedInstr::poll`), the
-        // stack/violation/halt/barrier set for the rest. The suffix bound
-        // is monotonically decreasing, so once covered, always covered.
-        if bus.stats().total_cycles() + u64::from(block.instrs[idx].worst_suffix) < max_cycles {
-            while idx < len {
-                let first = &block.instrs[idx];
-                // A precomputed run of pure instructions: accounting is
-                // applied from the static aggregate (plus one cache probe
+        // worst-case cost, no cycle check can fire before the block ends
+        // (the suffix bound only decreases, so once covered, always
+        // covered). A covered block then polls only what each instruction
+        // can actually trip: nothing for no-poll instructions (loads and
+        // pure ALU ops — see `DecodedInstr::poll`), and it executes
+        // precomputed runs of pure instructions from their static
+        // aggregate. Near the cycle limit every instruction gets the full
+        // poll set, so the batch stops on precisely the same boundary as
+        // the interpreter's run loop.
+        let covered =
+            bus.stats().total_cycles() + u64::from(block.instrs[idx].worst_suffix) < max_cycles;
+        while idx < block.instrs.len() {
+            let di = &block.instrs[idx];
+            let rp = di.run;
+            if covered && rp.len >= 2 {
+                // Accounting comes from the aggregate (plus one cache probe
                 // per distinct fetch line); only the executions themselves
                 // remain per-instruction.
-                let rp = first.run;
-                if rp.len >= 2 {
-                    let n = usize::from(rp.len);
-                    match first.plan {
-                        Plan::SramPure => bus.add_sram_ifetch(u64::from(rp.words)),
-                        _ => bus.account_fram_ifetch_run(first.pc, rp.words),
-                    }
-                    bus.stats_mut().contention_cycles += u64::from(rp.contention);
-                    bus.charge_batch(first.cat, n as u64, u64::from(rp.unstalled));
-                    for di in &block.instrs[idx..idx + n] {
-                        cpu.set_pc(di.next_pc);
-                        // Pure instructions cannot fault (register and
-                        // immediate operands only); propagate defensively.
-                        if let Err(e) = exec_lowered(cpu, bus, di) {
-                            self.cursor = None;
-                            return Err(e);
-                        }
-                    }
-                    idx += n;
-                    continue;
+                let n = usize::from(rp.len);
+                match di.plan {
+                    Plan::SramPure => bus.add_sram_ifetch(u64::from(rp.words)),
+                    _ => bus.account_fram_ifetch(di.pc, rp.words),
                 }
-                let di = first;
-                if let Err(e) = exec_one(cpu, bus, di) {
-                    self.cursor = None;
-                    return Err(e);
+                bus.stats_mut().contention_cycles += u64::from(rp.contention);
+                bus.charge_batch(di.cat, n as u64, u64::from(rp.unstalled));
+                for di in &block.instrs[idx..idx + n] {
+                    cpu.set_pc(di.next_pc);
+                    // Pure instructions cannot fault (register and
+                    // immediate operands only); propagate defensively.
+                    exec_lowered(cpu, bus, di)?;
                 }
-                if di.poll {
-                    bus.check_stack(cpu.sp());
-                    if bus.violation_pending()
-                        || bus.ports().halt_code().is_some()
-                        || bus.code_watch_gen() != self.seen_gen
-                    {
-                        let fell_through = cpu.pc() == di.next_pc && idx + 1 < len;
-                        self.cursor = if fell_through && bus.code_watch_gen() == self.seen_gen {
-                            Some((slot, idx + 1))
-                        } else {
-                            None
-                        };
-                        return Ok(());
-                    }
-                }
+                idx += n;
+                continue;
+            }
+            let fell_through = exec_step(cpu, bus, block, idx)?;
+            if covered && !di.poll {
                 idx += 1;
+                continue;
             }
-            // Block exhausted: the last instruction was either a
-            // terminator or the decode horizon; resume by block lookup.
-            self.cursor = None;
-            return Ok(());
-        }
-        // Near the cycle limit: exact per-instruction stepping with the
-        // full poll set, so the batch stops on precisely the same
-        // instruction boundary as the interpreter's run loop.
-        loop {
-            let di = &block.instrs[idx];
-            if let Err(e) = exec_one(cpu, bus, di) {
-                self.cursor = None;
-                return Err(e);
-            }
-            let fell_through = cpu.pc() == di.next_pc && idx + 1 < len;
             bus.check_stack(cpu.sp());
             if !fell_through
                 || bus.violation_pending()
@@ -322,15 +227,60 @@ impl BlockEngine {
                 || bus.code_watch_gen() != self.seen_gen
                 || bus.stats().total_cycles() >= max_cycles
             {
-                self.cursor = if fell_through && bus.code_watch_gen() == self.seen_gen {
-                    Some((slot, idx + 1))
-                } else {
-                    None
-                };
+                // After a barrier write the next call's drain drops the
+                // cursor again.
+                if fell_through {
+                    self.cursor = Some((slot, idx + 1));
+                }
                 return Ok(());
             }
             idx += 1;
         }
+        // Block exhausted: the last instruction was either a terminator or
+        // the decode horizon; resume by block lookup.
+        Ok(())
+    }
+
+    /// The one block lookup behind both step paths: syncs with the
+    /// sanitizer epoch and write barrier, then resolves the CPU's PC to
+    /// `(arena slot, instruction index)` — via the straight-line cursor,
+    /// the `starts` table, or a fresh build — and clears the cursor for
+    /// the caller to re-point. A PC with no buildable block executes that
+    /// one instruction on the interpreter instead and yields `None`.
+    ///
+    /// Forced inline: it runs once per stepped instruction, and as a call
+    /// it measurably slows the per-instruction path of fault episodes.
+    ///
+    /// # Errors
+    ///
+    /// The delegated interpreter step's errors.
+    #[inline(always)]
+    fn locate(&mut self, cpu: &mut Cpu, bus: &mut Bus) -> SimResult<Option<(u32, usize)>> {
+        if bus.sanitizer_epoch() != self.seen_epoch {
+            self.reset(bus);
+        }
+        if bus.code_watch_gen() != self.seen_gen {
+            self.drain(bus);
+        }
+        let pc = cpu.pc();
+        let cursor = self.cursor.take().filter(|&(slot, idx)| {
+            self.arena[slot as usize]
+                .as_ref()
+                .is_some_and(|b| idx < b.instrs.len() && b.instrs[idx].pc == pc)
+        });
+        if cursor.is_some() {
+            return Ok(cursor);
+        }
+        let s = self.starts[usize::from(pc)];
+        if s != NO_BLOCK {
+            return Ok(Some((s - 1, 0)));
+        }
+        if let Some(slot) = self.build_at(bus, pc) {
+            return Ok(Some((slot, 0)));
+        }
+        self.delegated += 1;
+        cpu.step(bus)?;
+        Ok(None)
     }
 
     fn build_at(&mut self, bus: &mut Bus, pc: u16) -> Option<u32> {
@@ -418,7 +368,7 @@ fn granules(start: u16, end: u32) -> std::ops::RangeInclusive<usize> {
 /// Executes a decoded instruction through its pre-lowered dispatch (see
 /// [`ExecPlan`]); the caller must have advanced the PC past the fetch.
 #[inline]
-fn exec_lowered(cpu: &mut Cpu, bus: &mut Bus, di: &crate::decode::DecodedInstr) -> SimResult<()> {
+fn exec_lowered(cpu: &mut Cpu, bus: &mut Bus, di: &DecodedInstr) -> SimResult<()> {
     match di.exec {
         ExecPlan::AluImm { op, size, v, dst } => cpu.exec_alu_reg(op, size, v, dst),
         ExecPlan::AluReg { op, size, src, dst } => {
@@ -438,53 +388,37 @@ fn exec_lowered(cpu: &mut Cpu, bus: &mut Bus, di: &crate::decode::DecodedInstr) 
     }
 }
 
-/// Dispatches one decoded instruction per its plan. Mirrors the accounting
-/// sequence of [`Cpu::step`]: fetch accounting first, PC advanced past the
-/// fetch, execution, then instruction/cycle attribution — so an execution
-/// fault leaves identical partial state.
+/// Executes instruction `idx` of `block` per its plan and reports whether
+/// it fell through to a successor in the same block. Mirrors the
+/// accounting sequence of [`Cpu::step`]: fetch accounting first, PC
+/// advanced past the fetch, execution, then instruction/cycle attribution
+/// — so an execution fault leaves identical partial state.
 #[inline]
-fn exec_one(cpu: &mut Cpu, bus: &mut Bus, di: &crate::decode::DecodedInstr) -> SimResult<()> {
+fn exec_step(cpu: &mut Cpu, bus: &mut Bus, block: &Block, idx: usize) -> SimResult<bool> {
+    let di = &block.instrs[idx];
+    // A `SramPure` instruction makes no bus access during execution and
+    // its SRAM fetches touch no FRAM line, so its contention bracket
+    // would observe an empty line set and is skipped.
+    let bracket = di.plan != Plan::SramPure;
+    if bracket {
+        bus.begin_instruction();
+    }
     match di.plan {
-        Plan::SramPure => {
-            // No bus access is possible during execution and SRAM fetches
-            // touch no FRAM line, so contention bookkeeping is skipped
-            // entirely (begin/end would observe an empty line set).
-            bus.add_sram_ifetch(u64::from(di.words));
-            cpu.set_pc(di.next_pc);
-            exec_lowered(cpu, bus, di)?;
-            bus.charge_instr(di.cat, di.cycles);
-            Ok(())
-        }
-        Plan::SramFast => {
-            bus.begin_instruction();
-            bus.add_sram_ifetch(u64::from(di.words));
-            cpu.set_pc(di.next_pc);
-            exec_lowered(cpu, bus, di)?;
-            bus.charge_instr(di.cat, di.cycles);
-            bus.end_instruction();
-            Ok(())
-        }
-        Plan::FramFast => {
-            bus.begin_instruction();
-            bus.account_fram_ifetch_words(di.pc, di.words);
-            cpu.set_pc(di.next_pc);
-            exec_lowered(cpu, bus, di)?;
-            bus.charge_instr(di.cat, di.cycles);
-            bus.end_instruction();
-            Ok(())
-        }
+        Plan::SramPure | Plan::SramFast => bus.add_sram_ifetch(u64::from(di.words)),
+        Plan::FramFast => bus.account_fram_ifetch(di.pc, u16::from(di.words)),
         Plan::Replay => {
-            bus.begin_instruction();
-            for i in 0..di.words {
-                bus.account_ifetch(di.pc.wrapping_add(2 * u16::from(i)))?;
+            for i in 0..u16::from(di.words) {
+                bus.read_word(di.pc + 2 * i, AccessKind::IFetch)?;
             }
-            cpu.set_pc(di.next_pc);
-            exec_lowered(cpu, bus, di)?;
-            bus.charge_instr(di.cat, di.cycles);
-            bus.end_instruction();
-            Ok(())
         }
     }
+    cpu.set_pc(di.next_pc);
+    exec_lowered(cpu, bus, di)?;
+    bus.charge_instr(di.cat, di.cycles);
+    if bracket {
+        bus.end_instruction();
+    }
+    Ok(cpu.pc() == di.next_pc && idx + 1 < block.instrs.len())
 }
 
 #[cfg(test)]

@@ -141,8 +141,7 @@ impl Cpu {
         let cycles = instr_cycles(&instr);
         self.regs[0] = next_pc;
         self.exec_decoded(bus, &instr)?;
-        bus.stats_mut().count_instruction(cat);
-        bus.stats_mut().unstalled_cycles += u64::from(cycles);
+        bus.charge_instr(cat, cycles);
         bus.end_instruction();
         Ok(StepInfo { pc: pc0, instr, cycles })
     }

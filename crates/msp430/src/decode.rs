@@ -44,7 +44,7 @@ pub enum Plan {
     /// FRAM text with elided sanitizer checks: each word still charges
     /// the stateful hardware-cache/wait/contention model per access.
     FramFast,
-    /// Full per-word replay through [`Bus::account_ifetch`] — used when
+    /// Full per-word replay through [`Bus::read_word`] — used when
     /// the sanitizer must observe each fetch (e.g. tracked SRAM bytes not
     /// yet proven filled).
     Replay,
@@ -381,7 +381,8 @@ pub fn build_block(bus: &Bus, start: u16) -> Option<Block> {
         let next = di.next_pc;
         let term = is_terminator(&di.instr);
         instrs.push(di);
-        // `next <= pc` means the fetch wrapped the 16-bit space.
+        // `next <= pc` means the instruction ends at the top of the 16-bit
+        // space (`decode_at` refuses a fetch past it): so does the block.
         if term || instrs.len() >= MAX_BLOCK_INSTRS || next <= pc {
             break;
         }
@@ -556,6 +557,52 @@ mod tests {
         if let Some(b2) = build_block(&bus, 0x2900) {
             assert!(b2.instrs.iter().all(|d| d.plan == Plan::Replay));
         }
+    }
+
+    /// The invariant that lets the bus's fetch accounting ignore address
+    /// wrap-around: no decoded fetch crosses `0x1_0000`, so neither does
+    /// any instruction or batched run of a block.
+    #[test]
+    fn fetches_never_wrap_the_address_space() {
+        use crate::mem::AddrRange;
+        let map = MemoryMap { fram: AddrRange::new(0x4000, 0x1_0000), ..MemoryMap::fr2355() };
+        let mut bus = Bus::new(map, HwCache::fr2355(), Frequency::MHZ_8);
+        let mov_reg = Instr::FormatI {
+            op: Opcode::Mov,
+            size: Size::Word,
+            src: Operand::Reg(Reg::R12),
+            dst: Operand::Reg(Reg::R13),
+        };
+        // Three-word store whose last extension word would sit at 0x10000.
+        let store = Instr::FormatI {
+            op: Opcode::Mov,
+            size: Size::Word,
+            src: Operand::Imm(0x1234),
+            dst: Operand::Absolute(0x2000),
+        };
+        let place = |bus: &mut Bus, at: u16, i: &Instr| {
+            for (k, w) in i.encode(at).unwrap().into_iter().enumerate() {
+                bus.poke_word(at.wrapping_add(2 * k as u16), w);
+            }
+        };
+        for at in [0xFFF8, 0xFFFA, 0xFFFC, 0xFFFE] {
+            place(&mut bus, at, &mov_reg);
+        }
+        let b = build_block(&bus, 0xFFF8).unwrap();
+        assert_eq!(b.instrs.len(), 4, "the block runs to the top");
+        assert_eq!(b.end, 0x1_0000);
+        assert_eq!(b.instrs[0].run.words, 4, "one batched run up to the top");
+        for di in &b.instrs {
+            let words = di.run.words.max(u16::from(di.words));
+            assert!(u32::from(di.pc) + 2 * u32::from(words) <= 0x1_0000);
+        }
+
+        place(&mut bus, 0xFFFC, &store);
+        assert_eq!(bus.peek_word(0xFFFE), 0x1234, "the store's first extension word");
+        assert!(build_block(&bus, 0xFFFC).is_none(), "a straddling fetch is not decoded");
+        let b = build_block(&bus, 0xFFF8).unwrap();
+        assert_eq!(b.instrs.len(), 2, "the block stops before the straddling store");
+        assert_eq!(b.end, 0xFFFC);
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub use irq::{IrqSchedule, IrqTimer};
 pub use isa::{AddrMode, Instr, Opcode, Operand, Reg};
 pub use machine::{
     default_engine, set_default_engine, Engine, ExitReason, Hook, IrqBoundary, Machine, RunOutcome,
-    TrapAction, ENGINE_ENV, IRQ_LATENCY_CYCLES,
+    TrapAction, IRQ_LATENCY_CYCLES,
 };
 pub use mem::{AccessKind, Bus, MemoryMap, Region};
 pub use sanitize::{SanitizerConfig, Violation};

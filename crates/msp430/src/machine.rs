@@ -8,7 +8,6 @@
 //! bus as the program, so all of its memory traffic is counted.
 
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 
 use crate::blockcache::BlockEngine;
 use crate::cpu::{Cpu, FLAG_GIE};
@@ -27,11 +26,6 @@ use crate::trace::Stats;
 /// acceptance to the first ISR instruction.
 pub const IRQ_LATENCY_CYCLES: u32 = 6;
 
-/// Environment variable selecting the default execution engine:
-/// `interp` for the classic fetch/decode interpreter, anything else (or
-/// unset) for the pre-decoded block engine.
-pub const ENGINE_ENV: &str = "SWAPRAM_ENGINE";
-
 /// Which execution engine a [`Machine`] dispatches instructions with.
 /// Both engines are byte-identical in observable behaviour (statistics,
 /// checksums, exit reasons, faults) — see the differential test tier.
@@ -48,7 +42,7 @@ pub enum Engine {
 static ENGINE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
 
 /// Overrides the default engine for machines created after this call
-/// (`None` restores the `SWAPRAM_ENGINE` / built-in default). Intended
+/// (`None` restores the built-in default, pre-decoded). Intended
 /// for differential tests that construct machines deep inside shared
 /// helpers; per-machine [`Machine::set_engine`] wins when reachable.
 pub fn set_default_engine(engine: Option<Engine>) {
@@ -61,18 +55,12 @@ pub fn set_default_engine(engine: Option<Engine>) {
 }
 
 /// The engine new machines start with: the [`set_default_engine`]
-/// override if installed, else `SWAPRAM_ENGINE`, else pre-decoded.
+/// override if installed, else pre-decoded.
 pub fn default_engine() -> Engine {
     match ENGINE_OVERRIDE.load(Ordering::SeqCst) {
-        1 => return Engine::Interp,
-        2 => return Engine::Predecoded,
-        _ => {}
-    }
-    static FROM_ENV: OnceLock<Engine> = OnceLock::new();
-    *FROM_ENV.get_or_init(|| match std::env::var(ENGINE_ENV).ok().as_deref() {
-        Some("interp") => Engine::Interp,
+        1 => Engine::Interp,
         _ => Engine::Predecoded,
-    })
+    }
 }
 
 /// What a [`Hook`] asks the machine to do after servicing a trap.
@@ -361,18 +349,19 @@ impl Machine {
     /// Propagates CPU/bus errors; reaching the trap window with no hook
     /// attached is a [`SimError::Hook`] error.
     pub fn step(&mut self) -> SimResult<Option<u16>> {
+        self.advance(None)
+    }
+
+    /// [`Machine::step`], except that with `batch_limit` set the
+    /// pre-decoded engine may execute a whole straight-line run, stopping
+    /// where [`Machine::run`]'s polling against that cycle budget would
+    /// (see [`BlockEngine::step_batched`]).
+    fn advance(&mut self, batch_limit: Option<u64>) -> SimResult<Option<u16>> {
         let pc = self.cpu.pc();
         if self.bus.map().trap.contains(pc) {
-            let mut hook = self
-                .hook
-                .take()
+            let action = self
+                .call_hook(|hook, cpu, bus| hook.on_trap(cpu, bus, pc))
                 .ok_or_else(|| SimError::Hook(format!("trap at 0x{pc:04x} with no hook")))?;
-            // The runtime is trusted: suppress sanitizer watchpoints while
-            // it fills cache slots and rewrites its metadata.
-            self.bus.set_runtime_mode(true);
-            let action = hook.on_trap(&mut self.cpu, &mut self.bus, pc);
-            self.bus.set_runtime_mode(false);
-            self.hook = Some(hook);
             match action? {
                 TrapAction::Resume => {}
                 TrapAction::Halt(code) => return Ok(Some(code)),
@@ -381,9 +370,10 @@ impl Machine {
             if let Some(p) = &mut self.profiler {
                 p.record(pc, self.bus.map().region_of(pc));
             }
-            match &mut self.engine {
-                Some(e) => e.step(&mut self.cpu, &mut self.bus)?,
-                None => {
+            match (&mut self.engine, batch_limit) {
+                (Some(e), Some(max)) => e.step_batched(&mut self.cpu, &mut self.bus, max)?,
+                (Some(e), None) => e.step(&mut self.cpu, &mut self.bus)?,
+                (None, _) => {
                     self.cpu.step(&mut self.bus)?;
                 }
             }
@@ -402,11 +392,13 @@ impl Machine {
         // instructions — so the pre-decoded engine may only batch
         // straight-line runs when none is attached; the engine then
         // replicates this loop's per-instruction checks inline (see
-        // [`BlockEngine::step_batched`]).
+        // [`BlockEngine::step_batched`]). Traps are serviced one at a
+        // time either way.
         let irq = self.bus.timer().is_some();
         let batch = self.faults.is_none() && self.profiler.is_none() && !irq;
+        let batch_limit = batch.then_some(max_cycles);
         let exit = loop {
-            let stepped = if batch { self.step_batch(max_cycles) } else { self.step() };
+            let stepped = self.advance(batch_limit);
             // A latched sanitizer violation wins over whatever the wild
             // instruction did — including the bus fault it may have died
             // on — so misexecution surfaces as one typed exit.
@@ -435,16 +427,25 @@ impl Machine {
         Ok(self.outcome(exit))
     }
 
-    /// Notifies the hook of an interrupt boundary (no-op without a hook).
-    /// Runs in trusted-runtime mode like a trap service, so the hook's
-    /// own bookkeeping reads never trip the sanitizer.
-    fn interrupt_boundary(&mut self, boundary: IrqBoundary) -> SimResult<()> {
-        let Some(mut hook) = self.hook.take() else { return Ok(()) };
+    /// Calls into the attached hook (`None` without one) in
+    /// trusted-runtime mode: sanitizer watchpoints are suppressed while it
+    /// fills cache slots, rewrites its metadata or commits checkpoints.
+    fn call_hook<T>(
+        &mut self,
+        f: impl FnOnce(&mut dyn Hook, &mut Cpu, &mut Bus) -> SimResult<T>,
+    ) -> Option<SimResult<T>> {
+        let mut hook = self.hook.take()?;
         self.bus.set_runtime_mode(true);
-        let result = hook.on_interrupt_boundary(&mut self.cpu, &mut self.bus, boundary);
+        let result = f(hook.as_mut(), &mut self.cpu, &mut self.bus);
         self.bus.set_runtime_mode(false);
         self.hook = Some(hook);
-        result
+        Some(result)
+    }
+
+    /// Notifies the hook of an interrupt boundary (no-op without a hook).
+    fn interrupt_boundary(&mut self, boundary: IrqBoundary) -> SimResult<()> {
+        self.call_hook(|hook, cpu, bus| hook.on_interrupt_boundary(cpu, bus, boundary))
+            .unwrap_or(Ok(()))
     }
 
     /// Polls the timer and, if an interrupt is pending and deliverable,
@@ -492,23 +493,6 @@ impl Machine {
         Ok(())
     }
 
-    /// Like [`Machine::step`], but lets the pre-decoded engine execute a
-    /// whole straight-line run before returning to the polling loop.
-    /// Only called from [`Machine::run`] when no fault plan or profiler
-    /// is attached (so per-instruction polling is unobservable).
-    fn step_batch(&mut self, max_cycles: u64) -> SimResult<Option<u16>> {
-        if self.bus.map().trap.contains(self.cpu.pc()) {
-            return self.step();
-        }
-        match &mut self.engine {
-            Some(e) => e.step_batched(&mut self.cpu, &mut self.bus, max_cycles)?,
-            None => {
-                self.cpu.step(&mut self.bus)?;
-            }
-        }
-        Ok(self.bus.ports().halt_code())
-    }
-
     /// Fires every scheduled fault whose cycle has been reached. Bit flips
     /// apply silently; a power loss notifies the hook (the brown-out
     /// dying gasp, see [`Hook::on_power_failing`]), stops the firing
@@ -531,15 +515,9 @@ impl Machine {
     }
 
     /// Notifies the hook that the supply just browned out (no-op without
-    /// a hook). Runs in trusted-runtime mode like a trap service, so the
-    /// hook's checkpoint writes never trip the sanitizer.
+    /// a hook).
     fn power_failing(&mut self) -> SimResult<()> {
-        let Some(mut hook) = self.hook.take() else { return Ok(()) };
-        self.bus.set_runtime_mode(true);
-        let result = hook.on_power_failing(&mut self.cpu, &mut self.bus);
-        self.bus.set_runtime_mode(false);
-        self.hook = Some(hook);
-        result
+        self.call_hook(|hook, cpu, bus| hook.on_power_failing(cpu, bus)).unwrap_or(Ok(()))
     }
 
     /// Snapshots the current run outcome with the given exit reason.

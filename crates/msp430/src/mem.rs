@@ -174,6 +174,11 @@ impl Image {
     }
 }
 
+/// Bytes of handler code a software runtime's modeled fetches walk (see
+/// [`Bus::replay_handler_fetches`]): about the size of the paper's miss
+/// handlers (§5.2: 972–1844 B).
+const HANDLER_WINDOW: u16 = 0x400;
+
 /// Granule size (as a shift) of the code write barrier: the address space
 /// is divided into 64-byte granules, each counting how many cached decoded
 /// blocks overlap it.
@@ -641,37 +646,6 @@ impl Bus {
         SimError::BusFault { addr, what: what.to_string() }
     }
 
-    /// Reads a byte with full accounting.
-    ///
-    /// # Errors
-    ///
-    /// Faults on unmapped or trap-window addresses.
-    #[inline]
-    pub fn read_byte(&mut self, addr: u16, kind: AccessKind) -> SimResult<u8> {
-        if kind == AccessKind::IFetch {
-            if let Some(s) = &mut self.sanitizer {
-                s.check_ifetch(addr, 1);
-            }
-        }
-        match self.region(addr) {
-            Region::Sram => {
-                self.count(Region::Sram, kind);
-                Ok(self.mem[usize::from(addr)])
-            }
-            Region::Fram => {
-                self.count(Region::Fram, kind);
-                self.note_fram_access(addr, true);
-                Ok(self.mem[usize::from(addr)])
-            }
-            Region::Mmio => {
-                self.stats.mmio_accesses += 1;
-                Ok((self.ports.read(addr) & 0xff) as u8)
-            }
-            Region::Trap => Err(self.fault(addr, "read from trap window")),
-            Region::Unmapped => Err(self.fault(addr, "read from unmapped memory")),
-        }
-    }
-
     /// Reads a word with full accounting.
     ///
     /// # Errors
@@ -711,29 +685,6 @@ impl Bus {
         u32::from(start) >= u32::from(self.map.fram.start) && end <= self.map.fram.end
     }
 
-    /// Accounting for one modeled instruction-fetch word from FRAM, for
-    /// runtime hooks that charge handler fetch traffic in a tight loop:
-    /// exactly `begin_instruction` + `read_word(addr, IFetch)` +
-    /// `end_instruction` for an even FRAM address (the value is
-    /// discarded, and a single line can never incur same-instruction
-    /// contention), minus the per-call region/linetracking overhead.
-    /// Callers must pre-check evenness and FRAM residency (see
-    /// [`Bus::fram_contains`]) and clear the line set once around the
-    /// loop.
-    #[inline]
-    pub fn ifetch_fram_word_modeled(&mut self, addr: u16) {
-        if let Some(s) = &mut self.sanitizer {
-            s.check_ifetch(addr, 2);
-        }
-        self.stats.fram_ifetch += 1;
-        if self.cache.access_read(addr) {
-            self.stats.hw_cache_hits += 1;
-        } else {
-            self.stats.hw_cache_misses += 1;
-            self.stats.wait_cycles += u64::from(self.freq.fram_wait_cycles);
-        }
-    }
-
     /// [`Bus::read_word`] specialised to `AccessKind::Read` — the
     /// executor data path, small enough to inline into operand reads.
     ///
@@ -759,7 +710,8 @@ impl Bus {
         }
     }
 
-    /// [`Bus::read_byte`] specialised to `AccessKind::Read`.
+    /// Reads a data byte with full accounting. There is no byte fetch:
+    /// the MSP430 fetches instructions a word at a time.
     ///
     /// # Errors
     ///
@@ -776,7 +728,12 @@ impl Bus {
                 self.note_fram_access(addr, true);
                 Ok(self.mem[usize::from(addr)])
             }
-            _ => self.read_byte(addr, AccessKind::Read),
+            Region::Mmio => {
+                self.stats.mmio_accesses += 1;
+                Ok((self.ports.read(addr) & 0xff) as u8)
+            }
+            Region::Trap => Err(self.fault(addr, "read from trap window")),
+            Region::Unmapped => Err(self.fault(addr, "read from unmapped memory")),
         }
     }
 
@@ -970,42 +927,6 @@ impl Bus {
         }
     }
 
-    /// Charges the accounting of a word-sized instruction fetch at `addr`
-    /// without returning data — the pre-decoded engine's replacement for
-    /// [`Bus::read_word`]`(addr, IFetch)` when replaying a cached block.
-    /// Mirrors its observable behaviour exactly: sanitizer check first,
-    /// then alignment, then per-region counters, hardware-cache state and
-    /// wait/contention effects (or the identical fault).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Bus::read_word`].
-    pub(crate) fn account_ifetch(&mut self, addr: u16) -> SimResult<()> {
-        if let Some(s) = &mut self.sanitizer {
-            s.check_ifetch(addr, 2);
-        }
-        if addr & 1 != 0 {
-            return Err(SimError::Unaligned(addr));
-        }
-        match self.region(addr) {
-            Region::Sram => {
-                self.count(Region::Sram, AccessKind::IFetch);
-                Ok(())
-            }
-            Region::Fram => {
-                self.count(Region::Fram, AccessKind::IFetch);
-                self.note_fram_access(addr, true);
-                Ok(())
-            }
-            Region::Mmio => {
-                self.stats.mmio_accesses += 1;
-                Ok(())
-            }
-            Region::Trap => Err(self.fault(addr, "read from trap window")),
-            Region::Unmapped => Err(self.fault(addr, "read from unmapped memory")),
-        }
-    }
-
     /// Disables the code write barrier entirely.
     pub(crate) fn disable_code_watch(&mut self) {
         self.code_watch = None;
@@ -1019,8 +940,7 @@ impl Bus {
     }
 
     /// Charges one executed instruction in `cat` plus its unstalled cycles
-    /// — the tail accounting of [`crate::cpu::Cpu::step`], factored out for
-    /// the pre-decoded engine.
+    /// — the tail accounting of both engines' instruction step.
     #[inline]
     pub(crate) fn charge_instr(&mut self, cat: Category, cycles: u32) {
         self.stats.count_instruction(cat);
@@ -1035,109 +955,36 @@ impl Bus {
         self.stats.unstalled_cycles += cycles;
     }
 
-    /// FRAM instruction-fetch accounting for one decoded instruction's
-    /// `words` contiguous fetch words at `pc`, with the sanitizer check
-    /// elided — equivalent to `words` calls of
-    /// [`Bus::account_fram_ifetch`] at consecutive addresses. The fetch
-    /// words are accessed back-to-back before execution, so a repeat
-    /// access to the line just probed is a guaranteed hit (a hit cannot
-    /// evict); the cache is probed once per distinct line and the rest
-    /// counted statically. Contention lines are still recorded per
-    /// distinct line (execution may touch more lines afterwards).
-    #[inline]
-    pub(crate) fn account_fram_ifetch_words(&mut self, pc: u16, words: u8) {
-        self.stats.fram_ifetch += u64::from(words);
-        let words = u16::from(words);
-        // The fetch words are contiguous and increasing, so the distinct
-        // lines they touch are exactly the contiguous line range
-        // `[line_of(pc), line_of(pc + 2*(words-1))]` — no per-word dedup
-        // loop needed. Fetches that wrap the address space take the slow
-        // path.
-        let end = u32::from(pc) + 2 * (u32::from(words) - 1);
-        if end > 0xFFFF {
-            return self.account_fram_ifetch_wrapped(pc, words);
-        }
-        let first = self.cache.line_of(pc);
-        let last = self.cache.line_of(end as u16);
-        let lines = u64::from(last - first) + 1;
-        for line in first..=last {
-            self.instr_lines.insert(line);
-            if self.cache.access_line(line) {
-                self.stats.hw_cache_hits += 1;
-            } else {
-                self.stats.hw_cache_misses += 1;
-                self.stats.wait_cycles += u64::from(self.freq.fram_wait_cycles);
-            }
-        }
-        let rest = u64::from(words) - lines;
-        if self.cache.is_enabled() {
-            self.stats.hw_cache_hits += rest;
-        } else {
-            // A disabled cache misses every access (with no state touched).
-            self.stats.hw_cache_misses += rest;
-            self.stats.wait_cycles += rest * u64::from(self.freq.fram_wait_cycles);
-        }
-    }
-
-    /// Batched FRAM instruction-fetch accounting for the contiguous word
-    /// range `[start, start + 2*words)` of a pure straight-line run.
+    /// FRAM instruction-fetch accounting for the `words` contiguous fetch
+    /// words `[start, start + 2*words)` with the sanitizer check elided:
+    /// exactly `words` calls of [`Bus::read_word`]`(_, IFetch)` at
+    /// consecutive FRAM addresses, whether the words are one decoded
+    /// instruction's or a whole straight-line run's.
     ///
-    /// Within such a run nothing but these monotonically increasing
-    /// fetches touches the cache, so every repeat access to the line most
-    /// recently probed is a guaranteed hit (a hit cannot evict): the cache
-    /// is probed once per distinct line and the remaining word accesses
-    /// are counted as hits statically. Skipping their LRU stamp updates is
-    /// unobservable — consecutive same-line accesses leave the recency
-    /// *order* of lines unchanged. A disabled cache misses every access
-    /// without touching state, applied statically too. Same-instruction
-    /// line contention is not charged here; the caller adds the
-    /// statically-known spans (see [`crate::decode::RunPlan`]).
-    pub(crate) fn account_fram_ifetch_run(&mut self, start: u16, words: u16) {
+    /// Nothing but these monotonically increasing fetches touches the
+    /// cache in between, so every repeat access to the line most recently
+    /// probed is a guaranteed hit (a hit cannot evict): the cache is probed
+    /// once per distinct line, in the order the per-word walk would have,
+    /// and the remaining word accesses are counted as hits statically.
+    /// Skipping their LRU stamp updates is unobservable — consecutive
+    /// same-line accesses leave the recency *order* of lines unchanged. A
+    /// disabled cache misses every access without touching state, applied
+    /// statically too. Each distinct line is recorded for same-instruction
+    /// contention; outside an instruction bracket (a batched run, whose
+    /// contention the caller adds from [`crate::decode::RunPlan`]) the
+    /// recording is a no-op.
+    ///
+    /// The range never wraps the 16-bit address space: [`crate::decode`]
+    /// refuses a fetch that crosses `0x1_0000` and ends a block there.
+    #[inline]
+    pub(crate) fn account_fram_ifetch(&mut self, start: u16, words: u16) {
+        debug_assert!(words > 0, "empty fetch range");
         self.stats.fram_ifetch += u64::from(words);
-        if !self.cache.is_enabled() {
-            self.stats.hw_cache_misses += u64::from(words);
-            self.stats.wait_cycles +=
-                u64::from(words) * u64::from(self.freq.fram_wait_cycles);
-            return;
-        }
-        if words == 0 {
-            return;
-        }
-        // As in `account_fram_ifetch_words`: contiguous increasing fetches
-        // touch exactly the contiguous line range, probed in the same
-        // order the per-word walk would have.
         let end = u32::from(start) + 2 * (u32::from(words) - 1);
-        if end > 0xFFFF {
-            return self.account_fram_ifetch_run_wrapped(start, words);
-        }
+        debug_assert!(end <= 0xFFFF, "fetch range wraps the address space");
         let first = self.cache.line_of(start);
         let last = self.cache.line_of(end as u16);
-        let lines = u64::from(last - first) + 1;
         for line in first..=last {
-            if self.cache.access_line(line) {
-                self.stats.hw_cache_hits += 1;
-            } else {
-                self.stats.hw_cache_misses += 1;
-                self.stats.wait_cycles += u64::from(self.freq.fram_wait_cycles);
-            }
-        }
-        self.stats.hw_cache_hits += u64::from(words) - lines;
-    }
-
-    /// Slow path of [`Bus::account_fram_ifetch_words`] for the rare fetch
-    /// range that wraps the 16-bit address space.
-    #[cold]
-    fn account_fram_ifetch_wrapped(&mut self, pc: u16, words: u16) {
-        let mut lines = 0u64;
-        let mut prev = u32::MAX;
-        for i in 0..words {
-            let addr = pc.wrapping_add(2 * i);
-            let line = self.cache.line_of(addr);
-            if line == prev {
-                continue;
-            }
-            prev = line;
-            lines += 1;
             self.instr_lines.insert(line);
             if self.cache.access_line(line) {
                 self.stats.hw_cache_hits += 1;
@@ -1146,7 +993,7 @@ impl Bus {
                 self.stats.wait_cycles += u64::from(self.freq.fram_wait_cycles);
             }
         }
-        let rest = u64::from(words) - lines;
+        let rest = u64::from(words) - u64::from(last - first + 1);
         if self.cache.is_enabled() {
             self.stats.hw_cache_hits += rest;
         } else {
@@ -1155,27 +1002,52 @@ impl Bus {
         }
     }
 
-    /// Slow path of [`Bus::account_fram_ifetch_run`] for the rare run that
-    /// wraps the 16-bit address space.
-    #[cold]
-    fn account_fram_ifetch_run_wrapped(&mut self, start: u16, words: u16) {
-        let mut lines = 0u64;
-        let mut prev = u32::MAX;
-        for i in 0..words {
-            let addr = start.wrapping_add(2 * i);
-            let line = self.cache.line_of(addr);
-            if line != prev {
-                prev = line;
-                lines += 1;
-                if self.cache.access_line(line) {
-                    self.stats.hw_cache_hits += 1;
-                } else {
-                    self.stats.hw_cache_misses += 1;
-                    self.stats.wait_cycles += u64::from(self.freq.fram_wait_cycles);
+    /// Charges `instrs` instruction fetches of a software runtime's
+    /// handler, which always runs from FRAM (paper §5.3): one word per
+    /// modeled instruction, walking the window `[base, base +
+    /// HANDLER_WINDOW)` from `*cursor` and wrapping to `base` at its end.
+    /// `*cursor` is left at the next word to fetch.
+    ///
+    /// Each word is checked by the sanitizer and charged exactly as
+    /// `begin_instruction` + `read_word(addr, IFetch)` + `end_instruction`
+    /// would (one word spans one line, so it never contends); the walk up
+    /// to each wrap goes through [`Bus::account_fram_ifetch`].
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::BusFault`] if `base` is odd or the window is not
+    /// entirely in FRAM.
+    pub fn replay_handler_fetches(
+        &mut self,
+        base: u16,
+        cursor: &mut u16,
+        instrs: u64,
+    ) -> SimResult<()> {
+        let end = u32::from(base) + u32::from(HANDLER_WINDOW);
+        if base & 1 != 0 || !self.fram_contains(base, end) {
+            return Err(self.fault(base, "handler window is not word-aligned FRAM"));
+        }
+        debug_assert!(*cursor & 1 == 0 && *cursor >= base && u32::from(*cursor) < end);
+        if instrs == 0 {
+            return Ok(());
+        }
+        // As the per-word brackets would: drop the lines of any open
+        // bracket and leave none open.
+        self.instr_lines.end();
+        let mut left = instrs;
+        while left > 0 {
+            let words = left.min(u64::from((end - u32::from(*cursor)) / 2)) as u16;
+            if let Some(s) = &mut self.sanitizer {
+                for i in 0..words {
+                    s.check_ifetch(*cursor + 2 * i, 2);
                 }
             }
+            self.account_fram_ifetch(*cursor, words);
+            left -= u64::from(words);
+            let next = u32::from(*cursor) + 2 * u32::from(words);
+            *cursor = if next >= end { base } else { next as u16 };
         }
-        self.stats.hw_cache_hits += u64::from(words) - lines;
+        Ok(())
     }
 }
 
@@ -1316,6 +1188,88 @@ mod tests {
         b.read_word(0x4000, AccessKind::Read).unwrap();
         let misses = b.stats().hw_cache_misses;
         assert!(misses >= 2, "flush must force a re-miss (got {misses})");
+    }
+
+    /// The per-word reference for [`Bus::replay_handler_fetches`]: one
+    /// bracketed `read_word(_, IFetch)` per handler instruction.
+    fn replay_reference(b: &mut Bus, base: u16, cursor: &mut u16, instrs: u64) {
+        let end = u32::from(base) + u32::from(HANDLER_WINDOW);
+        for _ in 0..instrs {
+            b.begin_instruction();
+            b.read_word(*cursor, AccessKind::IFetch).unwrap();
+            b.end_instruction();
+            let next = *cursor + 2;
+            *cursor = if u32::from(next) >= end { base } else { next };
+        }
+    }
+
+    #[test]
+    fn handler_fetch_replay_matches_per_word_reference() {
+        use crate::sanitize::SanitizerConfig;
+        let sanitized = || {
+            let mut b = bus(Frequency::MHZ_24);
+            // Half the handler window lies outside the executable range.
+            b.attach_sanitizer(SanitizerConfig {
+                exec: vec![AddrRange::new(0x4000, 0xBA00)],
+                ..SanitizerConfig::default()
+            });
+            b
+        };
+        let cases: [(&str, &dyn Fn() -> Bus); 5] = [
+            ("24 MHz", &|| bus(Frequency::MHZ_24)),
+            ("8 MHz", &|| bus(Frequency::MHZ_8)),
+            ("cache disabled", &|| {
+                Bus::new(MemoryMap::fr2355(), HwCache::disabled(), Frequency::MHZ_24)
+            }),
+            ("4-way cache", &|| {
+                Bus::new(MemoryMap::fr2355(), HwCache::new(2, 4, 8), Frequency::MHZ_24)
+            }),
+            ("sanitizer", &sanitized),
+        ];
+        let base = 0xB800;
+        for (name, make) in cases {
+            // Cursors at the window start and two words before its end, so
+            // short replays wrap once and long ones lap the window.
+            for (start, instrs) in [(base, 0), (base, 5), (base + 0x3FC, 3), (base + 0x3FC, 1100)] {
+                let (mut fast, mut reference) = (make(), make());
+                let (mut c1, mut c2) = (start, start);
+                for b in [&mut fast, &mut reference] {
+                    // Warm lines inside and outside the window, and leave
+                    // a bracket open: the handler must not extend it.
+                    b.read_word(base + 0x3F8, AccessKind::Read).unwrap();
+                    b.begin_instruction();
+                    b.read_word(0x4000, AccessKind::Read).unwrap();
+                }
+                fast.replay_handler_fetches(base, &mut c1, instrs).unwrap();
+                replay_reference(&mut reference, base, &mut c2, instrs);
+                let ctx = format!("{name}, cursor 0x{start:04x}, {instrs} instrs");
+                assert_eq!(c1, c2, "{ctx}: cursor");
+                assert_eq!(fast.stats(), reference.stats(), "{ctx}: stats");
+                assert_eq!(fast.take_violation(), reference.take_violation(), "{ctx}: sanitizer");
+                // The caches must hold the same lines in the same recency
+                // order: later accesses split into hits and misses alike.
+                for b in [&mut fast, &mut reference] {
+                    b.read_word(0x5000, AccessKind::Read).unwrap();
+                    b.end_instruction();
+                    for addr in [base, base + 8, base + 0x3F8, 0x4000, 0x4010, base + 0x200] {
+                        b.read_word(addr, AccessKind::Read).unwrap();
+                    }
+                }
+                assert_eq!(fast.stats(), reference.stats(), "{ctx}: later cache behaviour");
+            }
+        }
+    }
+
+    #[test]
+    fn handler_window_must_be_aligned_fram() {
+        let mut b = bus(Frequency::MHZ_24);
+        for base in [0xB801, 0x2000, 0xBE00] {
+            let mut cursor = base;
+            let err = b.replay_handler_fetches(base, &mut cursor, 4).unwrap_err();
+            assert!(matches!(err, SimError::BusFault { addr, .. } if addr == base), "0x{base:04x}");
+            assert_eq!(cursor, base);
+        }
+        assert_eq!(b.stats().fram_ifetch, 0, "a refused window charges nothing");
     }
 
     #[test]

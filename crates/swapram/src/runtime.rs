@@ -624,30 +624,7 @@ impl SwapRuntime {
     /// (so they pay wait states and contend for the hardware cache).
     fn charge(&mut self, bus: &mut Bus, cat: Category, instrs: u64, cycles: u64) -> SimResult<()> {
         bus.stats_mut().charge_modeled(cat, instrs, cycles);
-        let window = 0x400u16; // ~1 KiB of handler code (§5.2: 972–1844 B)
-        let base = self.cfg.handler_code_base;
-        // Handler code sits at an even FRAM address in every shipped
-        // config, where the modeled fetch walk reduces to per-word cache
-        // accounting (`Bus::ifetch_fram_word_modeled`); anything else
-        // falls back to full bus reads.
-        if base & 1 == 0 && bus.fram_contains(base, u32::from(base) + u32::from(window)) {
-            bus.begin_instruction();
-            for _ in 0..instrs {
-                bus.ifetch_fram_word_modeled(self.fetch_cursor);
-                let next = self.fetch_cursor.wrapping_add(2);
-                self.fetch_cursor = if next >= base + window { base } else { next };
-            }
-            bus.end_instruction();
-            return Ok(());
-        }
-        for _ in 0..instrs {
-            bus.begin_instruction();
-            bus.read_word(self.fetch_cursor, AccessKind::IFetch)?;
-            bus.end_instruction();
-            let next = self.fetch_cursor.wrapping_add(2);
-            self.fetch_cursor = if next >= base + window { base } else { next };
-        }
-        Ok(())
+        bus.replay_handler_fetches(self.cfg.handler_code_base, &mut self.fetch_cursor, instrs)
     }
 
     /// Aligned size (functions occupy whole words).
