@@ -55,13 +55,3 @@ pub use expr::Expr;
 pub use layout::{FuncSpan, LayoutConfig};
 pub use object::{assemble, Assembly};
 pub use parser::parse;
-
-/// Convenience: parse and assemble in one step.
-///
-/// # Errors
-///
-/// Returns the first parse or assembly error.
-pub fn assemble_str(source: &str, config: &LayoutConfig) -> AsmResult<Assembly> {
-    let module = parser::parse(source)?;
-    object::assemble(&module, config)
-}

@@ -4,7 +4,7 @@
 use crate::ast::{AsmOperand, ByteInit, Insn, Item, Module};
 use crate::error::{AsmError, AsmResult};
 use crate::expr::SymTab;
-use crate::layout::{self, FuncSpan, Layout, LayoutConfig};
+use crate::layout::{self, FuncSpan, LayoutConfig};
 use msp430_sim::isa::{Instr, Operand};
 use msp430_sim::mem::{Image, Segment};
 use std::collections::BTreeMap;
@@ -155,16 +155,6 @@ pub fn assemble(module: &Module, config: &LayoutConfig) -> AsmResult<Assembly> {
         functions: l.functions.clone(),
         stmt_addrs: l.stmt_addrs.clone(),
     })
-}
-
-/// Re-runs layout on an already-relaxed module (no encoding). Useful for
-/// passes that need addresses midway through a transformation.
-///
-/// # Errors
-///
-/// Same conditions as [`layout::compute`].
-pub fn layout_only(module: &Module, config: &LayoutConfig) -> AsmResult<Layout> {
-    layout::compute(module, config)
 }
 
 fn encode_insn(insn: &Insn, addr: u16, syms: &SymTab, line: u32) -> AsmResult<Vec<u16>> {

@@ -5,7 +5,7 @@
 //! list: which statements belong to which function, who calls whom, and
 //! where basic blocks begin and end.
 
-use crate::ast::{Insn, Item, Module};
+use crate::ast::{Item, Module};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
@@ -132,14 +132,6 @@ pub fn insn_count(module: &Module, range: Range<usize>) -> usize {
         .iter()
         .filter(|s| matches!(s.item, Item::Insn(_)))
         .count()
-}
-
-/// Returns the instruction (if any) a statement holds.
-pub fn insn_at(module: &Module, idx: usize) -> Option<&Insn> {
-    match &module.stmts[idx].item {
-        Item::Insn(i) => Some(i),
-        _ => None,
-    }
 }
 
 #[cfg(test)]

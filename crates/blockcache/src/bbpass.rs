@@ -32,7 +32,6 @@
 //! never strand a stale return address — the runtime pops the canonical
 //! address and looks it up like any other block start.
 
-use crate::config::BlockConfig;
 use msp430_asm::ast::{AsmOperand, Insn, Item, Module};
 use msp430_asm::error::{AsmError, AsmResult};
 use msp430_asm::expr::Expr;
@@ -43,6 +42,14 @@ use msp430_sim::isa::{Opcode, Reg, Size};
 
 /// Name of the block-cache metadata section.
 pub const TABLES_SECTION: &str = "bbtab";
+/// FRAM base address of the metadata section.
+pub const TABLES_BASE: u16 = 0xA000;
+/// Trap-window address every exit word initially points at; distinct
+/// from SwapRAM's trap so the two runtimes never mistake each other's.
+pub const TRAP_ADDR: u16 = 0x0F10;
+/// Hash-table load factor denominator: capacity = blocks × this. The
+/// original implementation uses a load factor of 0.5 (§4).
+const HASH_LOAD_DEN: u16 = 2;
 /// Symbol of the global current-exit word.
 pub const CUR_SYMBOL: &str = "__bb_cur";
 
@@ -129,11 +136,7 @@ impl BlockProgram {
 ///
 /// Propagates assembly errors; rejects modules that already use the
 /// reserved metadata section.
-pub fn transform(
-    module: &Module,
-    cfg: &BlockConfig,
-    layout: &LayoutConfig,
-) -> AsmResult<BlockProgram> {
+pub fn transform(module: &Module, layout: &LayoutConfig) -> AsmResult<BlockProgram> {
     if module.stmts.iter().any(
         |s| matches!(&s.item, Item::Section(name) if name == TABLES_SECTION),
     ) {
@@ -141,7 +144,7 @@ pub fn transform(
             "section `{TABLES_SECTION}` is reserved for block-cache metadata"
         )));
     }
-    let layout = layout.clone().with_section(TABLES_SECTION, cfg.tables_base);
+    let layout = layout.clone().with_section(TABLES_SECTION, TABLES_BASE);
 
     let mut out = Module::new();
     let mut exits: Vec<ExitKind> = Vec::new();
@@ -294,7 +297,7 @@ pub fn transform(
     out.push(Item::Word(vec![Expr::num(0)]));
     for (k, kind) in exits.iter().enumerate() {
         out.push(Item::Label(exit_symbol(k)));
-        out.push(Item::Word(vec![Expr::num(i64::from(cfg.trap_addr))]));
+        out.push(Item::Word(vec![Expr::num(i64::from(TRAP_ADDR))]));
         // Jump-table entry: static target (or 0 for returns) — this is the
         // structure §5.2 calls out as the dominant metadata cost.
         match kind {
@@ -312,8 +315,8 @@ pub fn transform(
             Expr::diff(end_symbol(b), start_symbol(b)),
         ]));
     }
-    // Hash table (0.5 load factor; 2 words per slot: tag, value).
-    let capacity = (nblocks as u16).saturating_mul(cfg.hash_load_den).max(4);
+    // Hash table (2 words per slot: tag, value).
+    let capacity = (nblocks as u16).saturating_mul(HASH_LOAD_DEN).max(4);
     out.push(Item::Align(2));
     out.push(Item::Label("__bb_hash".to_string()));
     out.push(Item::Space(Expr::num(i64::from(capacity) * 4), 0));
@@ -408,31 +411,31 @@ loop:
     .endfunc
 ";
 
-    fn cfg() -> (BlockConfig, LayoutConfig) {
-        (BlockConfig::unified_fr2355(), LayoutConfig::new(0x4000, 0x9000))
+    fn layout() -> LayoutConfig {
+        LayoutConfig::new(0x4000, 0x9000)
     }
 
     #[test]
     fn produces_blocks_and_exits() {
         let m = parse(SRC).unwrap();
-        let (bc, lc) = cfg();
-        let p = transform(&m, &bc, &lc).unwrap();
+        let lc = layout();
+        let p = transform(&m, &lc).unwrap();
         assert!(p.blocks.len() >= 4, "blocks: {:?}", p.blocks.len());
         assert!(p.exits.len() >= p.blocks.len(), "every block ends in at least one exit");
         assert!(p.exits.iter().any(|e| matches!(e.kind, ExitKind::Return)));
         // All exit words initialised to the trap address.
         for e in &p.exits {
             let w = peek(&p.assembly.image, e.word_addr);
-            assert_eq!(w, bc.trap_addr);
+            assert_eq!(w, TRAP_ADDR);
         }
     }
 
     #[test]
     fn transformation_grows_code_substantially() {
         let m = parse(SRC).unwrap();
-        let (bc, lc) = cfg();
+        let lc = layout();
         let plain = msp430_asm::object::assemble(&m, &lc.clone().with_entry("__start")).unwrap();
-        let p = transform(&m, &bc, &lc).unwrap();
+        let p = transform(&m, &lc).unwrap();
         let plain_text = plain.section_size("text");
         let bb_text = p.assembly.section_size("text");
         assert!(
@@ -447,8 +450,8 @@ loop:
     #[test]
     fn conditional_gets_two_exits() {
         let m = parse(SRC).unwrap();
-        let (bc, lc) = cfg();
-        let p = transform(&m, &bc, &lc).unwrap();
+        let lc = layout();
+        let p = transform(&m, &lc).unwrap();
         let statics = p
             .exits
             .iter()

@@ -1,29 +1,20 @@
 //! Block-cache configuration.
 
-/// Configuration for the basic-block cache baseline.
+/// Configuration for the basic-block cache baseline: where its SRAM
+/// cache lies.
 ///
 /// Defaults follow the paper's best-effort port (§4): the entire SRAM is
 /// reserved for caching application code, while runtime metadata (exit
-/// words, jump table, hash table) lives in FRAM — the placement the
-/// authors found fastest on this platform.
+/// words, jump table, hash table) lives in FRAM at [`crate::TABLES_BASE`]
+/// — the placement the authors found fastest on this platform. The trap
+/// ([`crate::TRAP_ADDR`]) and the runtime's code window
+/// ([`crate::HANDLER_CODE_BASE`]) are fixed too.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockConfig {
     /// First SRAM address of the block cache.
     pub cache_base: u16,
     /// Size of the block cache in bytes.
     pub cache_size: u16,
-    /// Fixed slot granularity in bytes (blocks occupy whole slots).
-    pub slot_bytes: u16,
-    /// Trap address the exit words initially point at.
-    pub trap_addr: u16,
-    /// Base address of the metadata section (in FRAM).
-    pub tables_base: u16,
-    /// FRAM window modelling the runtime's own code (instruction-fetch
-    /// replay, like the SwapRAM cost model).
-    pub handler_code_base: u16,
-    /// Hash-table load factor denominator: capacity = blocks / load.
-    /// The original implementation uses 0.5 (§4), i.e. `2 × blocks` slots.
-    pub hash_load_den: u16,
 }
 
 impl BlockConfig {
@@ -32,11 +23,6 @@ impl BlockConfig {
         BlockConfig {
             cache_base: 0x2000,
             cache_size: 0x1000,
-            slot_bytes: 16,
-            trap_addr: 0x0F10,
-            tables_base: 0xA000,
-            handler_code_base: 0xBC00,
-            hash_load_den: 2,
         }
     }
 
@@ -44,11 +30,7 @@ impl BlockConfig {
     /// remainder for the block cache.
     pub fn split_fr2355(data_bytes: u16) -> BlockConfig {
         let base = 0x2000 + data_bytes;
-        BlockConfig {
-            cache_base: base,
-            cache_size: 0x3000 - base,
-            ..BlockConfig::unified_fr2355()
-        }
+        BlockConfig { cache_base: base, cache_size: 0x3000 - base }
     }
 }
 
@@ -66,7 +48,6 @@ mod tests {
     fn defaults() {
         let c = BlockConfig::unified_fr2355();
         assert_eq!(c.cache_size, 0x1000);
-        assert_eq!(c.hash_load_den, 2);
-        assert_ne!(c.trap_addr, 0x0F00, "distinct from the SwapRAM trap");
+        assert_ne!(crate::TRAP_ADDR, 0x0F00, "distinct from the SwapRAM trap");
     }
 }

@@ -15,6 +15,10 @@
 //! * runtime metadata lives in FRAM — the placement the SwapRAM authors
 //!   found fastest on this class of device.
 //!
+//! [`BlockConfig`] is only the SRAM cache region. The rest is fixed: the
+//! trap [`TRAP_ADDR`], the metadata at [`TABLES_BASE`], the runtime's
+//! FRAM code window at [`HANDLER_CODE_BASE`] and its charges in [`COST`].
+//!
 //! Conditional CFIs use the paper's Figure-6 transformation (the MSP430's
 //! ±511/512-word conditional range cannot span the SRAM): an inverted
 //! short hop plus absolute exits for both outcomes.
@@ -41,7 +45,7 @@
 //! ")?;
 //! let cfg = BlockConfig::unified_fr2355();
 //! let layout = LayoutConfig::new(0x4000, 0x9000);
-//! let prog = bbpass::transform(&module, &cfg, &layout)?;
+//! let prog = bbpass::transform(&module, &layout)?;
 //! let rt = BlockRuntime::new(&prog, cfg)?;
 //!
 //! let mut machine = Fr2355::machine(Frequency::MHZ_24);
@@ -56,6 +60,6 @@ pub mod bbpass;
 pub mod config;
 pub mod runtime;
 
-pub use bbpass::{BlockProgram, ExitKind};
+pub use bbpass::{BlockProgram, ExitKind, TABLES_BASE, TRAP_ADDR};
 pub use config::BlockConfig;
-pub use runtime::{BlockCost, BlockRuntime, BlockStats};
+pub use runtime::{BlockCost, BlockRuntime, BlockStats, COST, HANDLER_CODE_BASE};

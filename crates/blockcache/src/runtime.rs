@@ -1,7 +1,7 @@
 //! Block-cache runtime: slot allocation, djb2 hash lookup, exit chaining
 //! and flush-on-full (paper §4's best-effort port of Miller & Agarwal).
 
-use crate::bbpass::{BlockProgram, ExitKind};
+use crate::bbpass::{BlockProgram, ExitKind, TRAP_ADDR};
 use crate::config::BlockConfig;
 use msp430_sim::cpu::Cpu;
 use msp430_sim::error::{SimError, SimResult};
@@ -12,7 +12,16 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-/// Per-operation instruction/cycle charges for the block-cache runtime.
+/// FRAM window modelling the runtime's own code: its modeled instruction
+/// fetches are replayed here, like SwapRAM's miss handler.
+pub const HANDLER_CODE_BASE: u16 = 0xBC00;
+
+/// Slot granularity of the block cache in bytes: a block occupies whole
+/// slots.
+const SLOT_BYTES: u16 = 16;
+
+/// Per-operation instruction/cycle charges for the block-cache runtime;
+/// the values in use are [`COST`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockCost {
     /// Trap entry: register save, `__bb_cur` load, jump-table index.
@@ -41,24 +50,21 @@ pub struct BlockCost {
     pub exit_cycles: u64,
 }
 
-impl Default for BlockCost {
-    fn default() -> Self {
-        BlockCost {
-            entry_instrs: 8,
-            entry_cycles: 20,
-            probe_instrs: 5,
-            probe_cycles: 11,
-            chain_instrs: 3,
-            chain_cycles: 8,
-            copy_word_instrs: 3,
-            copy_word_cycles: 6,
-            flush_exit_instrs: 2,
-            flush_exit_cycles: 5,
-            exit_instrs: 4,
-            exit_cycles: 10,
-        }
-    }
-}
+/// The charges the block-cache runtime applies.
+pub const COST: BlockCost = BlockCost {
+    entry_instrs: 8,
+    entry_cycles: 20,
+    probe_instrs: 5,
+    probe_cycles: 11,
+    chain_instrs: 3,
+    chain_cycles: 8,
+    copy_word_instrs: 3,
+    copy_word_cycles: 6,
+    flush_exit_instrs: 2,
+    flush_exit_cycles: 5,
+    exit_instrs: 4,
+    exit_cycles: 10,
+};
 
 /// Counters the block-cache runtime maintains.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -98,7 +104,6 @@ enum Probe {
 /// The block-cache runtime hook.
 pub struct BlockRuntime {
     cfg: BlockConfig,
-    cost: BlockCost,
     cur_addr: u16,
     /// Exit k → (word address, resolved static target or None for returns).
     exits: Vec<(u16, Option<u16>)>,
@@ -146,9 +151,8 @@ impl BlockRuntime {
         let blocks = prog.blocks.iter().map(|b| (b.addr, b.size)).collect();
         Ok(BlockRuntime {
             next_free: cfg.cache_base,
-            fetch_cursor: cfg.handler_code_base,
+            fetch_cursor: HANDLER_CODE_BASE,
             cfg,
-            cost: BlockCost::default(),
             cur_addr: prog.cur_addr,
             exits,
             blocks,
@@ -166,7 +170,7 @@ impl BlockRuntime {
 
     fn charge(&mut self, bus: &mut Bus, cat: Category, instrs: u64, cycles: u64) -> SimResult<()> {
         bus.stats_mut().charge_modeled(cat, instrs, cycles);
-        bus.replay_handler_fetches(self.cfg.handler_code_base, &mut self.fetch_cursor, instrs)
+        bus.replay_handler_fetches(HANDLER_CODE_BASE, &mut self.fetch_cursor, instrs)
     }
 
     fn djb2_slot(&self, addr: u16) -> u16 {
@@ -184,7 +188,7 @@ impl BlockRuntime {
         for _ in 0..self.hash_capacity {
             let slot_addr = self.hash_base + 4 * slot;
             let tag = bus.read_word(slot_addr, AccessKind::Read)?;
-            self.charge(bus, Category::MissHandler, self.cost.probe_instrs, self.cost.probe_cycles)?;
+            self.charge(bus, Category::MissHandler, COST.probe_instrs, COST.probe_cycles)?;
             if tag == 0 {
                 return Ok(Probe::Empty(slot));
             }
@@ -202,7 +206,7 @@ impl BlockRuntime {
         // hash table — all counted FRAM writes.
         let n = self.exits.len() as u64;
         for (word_addr, _) in self.exits.clone() {
-            bus.write_word(word_addr, self.cfg.trap_addr)?;
+            bus.write_word(word_addr, TRAP_ADDR)?;
         }
         for slot in 0..self.hash_capacity {
             bus.write_word(self.hash_base + 4 * slot, 0)?;
@@ -210,8 +214,8 @@ impl BlockRuntime {
         self.charge(
             bus,
             Category::MissHandler,
-            self.cost.flush_exit_instrs * (n + u64::from(self.hash_capacity)),
-            self.cost.flush_exit_cycles * (n + u64::from(self.hash_capacity)),
+            COST.flush_exit_instrs * (n + u64::from(self.hash_capacity)),
+            COST.flush_exit_cycles * (n + u64::from(self.hash_capacity)),
         )?;
         self.cached.clear();
         self.next_free = self.cfg.cache_base;
@@ -222,14 +226,13 @@ impl BlockRuntime {
 
 impl Hook for BlockRuntime {
     fn on_trap(&mut self, cpu: &mut Cpu, bus: &mut Bus, trap_pc: u16) -> SimResult<TrapAction> {
-        if trap_pc != self.cfg.trap_addr {
+        if trap_pc != TRAP_ADDR {
             return Err(SimError::Hook(format!(
-                "unexpected trap at 0x{trap_pc:04x} (block-cache trap is 0x{:04x})",
-                self.cfg.trap_addr
+                "unexpected trap at 0x{trap_pc:04x} (block-cache trap is 0x{TRAP_ADDR:04x})"
             )));
         }
         self.stats.borrow_mut().traps += 1;
-        self.charge(bus, Category::MissHandler, self.cost.entry_instrs, self.cost.entry_cycles)?;
+        self.charge(bus, Category::MissHandler, COST.entry_instrs, COST.entry_cycles)?;
         let k = bus.read_word(self.cur_addr, AccessKind::Read)?;
         let (word_addr, static_target) = *self
             .exits
@@ -250,7 +253,7 @@ impl Hook for BlockRuntime {
 
         let exit = |rt: &mut BlockRuntime, cpu: &mut Cpu, bus: &mut Bus, to: u16| {
             cpu.set_pc(to);
-            rt.charge(bus, Category::MissHandler, rt.cost.exit_instrs, rt.cost.exit_cycles)?;
+            rt.charge(bus, Category::MissHandler, COST.exit_instrs, COST.exit_cycles)?;
             Ok(TrapAction::Resume)
         };
 
@@ -259,7 +262,7 @@ impl Hook for BlockRuntime {
             Probe::Found(cached) => {
                 if static_target.is_some() {
                     bus.write_word(word_addr, cached)?;
-                    self.charge(bus, Category::MissHandler, self.cost.chain_instrs, self.cost.chain_cycles)?;
+                    self.charge(bus, Category::MissHandler, COST.chain_instrs, COST.chain_cycles)?;
                     self.stats.borrow_mut().chains += 1;
                 }
                 return exit(self, cpu, bus, cached);
@@ -278,7 +281,7 @@ impl Hook for BlockRuntime {
             .blocks
             .get(&target)
             .ok_or_else(|| SimError::Hook(format!("0x{target:04x} is not a block start")))?;
-        let need = size.div_ceil(self.cfg.slot_bytes) * self.cfg.slot_bytes;
+        let need = size.div_ceil(SLOT_BYTES) * SLOT_BYTES;
         if need > self.cfg.cache_size {
             // Cannot cache: execute the canonical (transformed) copy.
             self.stats.borrow_mut().too_large += 1;
@@ -297,8 +300,8 @@ impl Hook for BlockRuntime {
         self.charge(
             bus,
             Category::Memcpy,
-            self.cost.copy_word_instrs * u64::from(size / 2),
-            self.cost.copy_word_cycles * u64::from(size / 2),
+            COST.copy_word_instrs * u64::from(size / 2),
+            COST.copy_word_cycles * u64::from(size / 2),
         )?;
         self.next_free = place + need;
 
@@ -315,7 +318,7 @@ impl Hook for BlockRuntime {
         // Chain the triggering exit when static.
         if static_target.is_some() {
             bus.write_word(word_addr, place)?;
-            self.charge(bus, Category::MissHandler, self.cost.chain_instrs, self.cost.chain_cycles)?;
+            self.charge(bus, Category::MissHandler, COST.chain_instrs, COST.chain_cycles)?;
             self.stats.borrow_mut().chains += 1;
         }
         let mut stats = self.stats.borrow_mut();
@@ -377,7 +380,7 @@ step_zero:
         let m = parse(SRC).unwrap();
         // The stack lives in FRAM data space (unified-memory model).
         let lc = LayoutConfig::new(0x4000, 0x9000);
-        let p = transform(&m, &cfg, &lc).unwrap();
+        let p = transform(&m, &lc).unwrap();
         let rt = BlockRuntime::new(&p, cfg).unwrap();
         let stats = rt.stats_handle();
         let mut machine = Fr2355::machine(Frequency::MHZ_24);

@@ -1,7 +1,6 @@
 //! Structural invariants of the block-cache transformation.
 
 use blockcache::bbpass::{transform, ExitKind};
-use blockcache::BlockConfig;
 use msp430_asm::layout::LayoutConfig;
 use msp430_asm::parser::parse;
 
@@ -35,9 +34,8 @@ w_zero:
 ";
 
 fn setup() -> blockcache::BlockProgram {
-    let cfg = BlockConfig::unified_fr2355();
     let module = parse(SRC).unwrap();
-    transform(&module, &cfg, &LayoutConfig::new(0x4000, 0x9000)).unwrap()
+    transform(&module, &LayoutConfig::new(0x4000, 0x9000)).unwrap()
 }
 
 #[test]
@@ -73,10 +71,9 @@ fn blocks_are_disjoint_and_cover_positive_sizes() {
 #[test]
 fn exit_words_live_in_the_metadata_section_and_are_unique() {
     let p = setup();
-    let cfg = BlockConfig::unified_fr2355();
     let mut addrs: Vec<u16> = p.exits.iter().map(|e| e.word_addr).collect();
     for a in &addrs {
-        assert!(*a >= cfg.tables_base, "exit word at {a:#06x} outside the tables section");
+        assert!(*a >= blockcache::TABLES_BASE, "exit word at {a:#06x} outside the tables section");
     }
     addrs.sort_unstable();
     addrs.dedup();

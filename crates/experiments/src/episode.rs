@@ -29,7 +29,7 @@ use msp430_sim::irq::{IrqSchedule, IrqTimer};
 use msp430_sim::machine::{ExitReason, Fr2355, Machine};
 use msp430_sim::mem::AddrRange;
 use msp430_sim::rng::SplitMix64;
-use swapram::{RecoveryMode, SwapConfig, SwapRuntime, SwapStats};
+use swapram::{RecoveryMode, SwapRuntime, SwapStats, RESUME_BASE, TABLES_BASE};
 
 /// How an episode ended, most severe classification first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -247,7 +247,7 @@ impl Episode<'_> {
                 rt.recover(machine.bus_mut())
             };
             match recovered {
-                Ok(o) if !o.resumed => restore_app_state(&mut machine, built, cfg, &input),
+                Ok(o) if !o.resumed => restore_app_state(&mut machine, built, &input),
                 Ok(_) => {}
                 Err(e) => break End::RecoveryFailed(e.to_string()),
             }
@@ -265,9 +265,9 @@ impl Episode<'_> {
 /// it (that is what recovery must repair), and the resume area keeps its
 /// committed checkpoint frames and watchdog words, which must survive
 /// every reboot.
-fn restore_app_state(machine: &mut Machine, built: &Built, cfg: &SwapConfig, input: &[u8]) {
+fn restore_app_state(machine: &mut Machine, built: &Built, input: &[u8]) {
     for seg in &built.image().segments {
-        if seg.addr == cfg.tables_base || seg.addr == cfg.resume_base {
+        if seg.addr == TABLES_BASE || seg.addr == RESUME_BASE {
             continue;
         }
         for (i, b) in seg.bytes.iter().enumerate() {

@@ -13,17 +13,12 @@
 //! binary (`bin/simperf`) and its own JSON artifact.
 
 use crate::json::Json;
-use crate::measure::geomean;
+use crate::measure::{geomean, systems, MAX_CYCLES, SEED};
 use crate::report::Table;
-use mibench::{build, input_for, run_on, Benchmark, Built, MemoryProfile, RunResult, System};
+use mibench::{build, input_for, run_on, Benchmark, Built, MemoryProfile, RunResult};
 use msp430_sim::machine::Fr2355;
 use msp430_sim::{Engine, Frequency};
 use std::time::Instant;
-
-/// Input seed; matches the experiment harness.
-const SEED: u64 = 1;
-/// Cycle budget; matches the experiment harness.
-const MAX_CYCLES: u64 = 4_000_000_000;
 
 /// One timed benchmark × system × frequency cell.
 #[derive(Debug, Clone)]
@@ -46,14 +41,6 @@ pub struct SimPerfRow {
     pub speedup: f64,
     /// Whether the two engines produced identical observable results.
     pub identical: bool,
-}
-
-fn systems() -> [(&'static str, System); 3] {
-    [
-        ("baseline", System::Baseline),
-        ("block-based", System::BlockCache(blockcache::BlockConfig::unified_fr2355())),
-        ("SwapRAM", System::SwapRam(swapram::SwapConfig::unified_fr2355())),
-    ]
 }
 
 /// Runs `built` once under `engine` and returns (wall ms, result).

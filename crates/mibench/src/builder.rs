@@ -19,14 +19,9 @@ use msp430_asm::parser::parse;
 use msp430_sim::freq::Frequency;
 use msp430_sim::irq::{IrqSchedule, IrqTimer};
 use msp430_sim::machine::{Fr2355, Machine, RunOutcome};
-use msp430_sim::mem::{AddrRange, Image};
+use msp430_sim::mem::{AddrRange, Image, MemoryMap};
 use msp430_sim::sanitize::SanitizerConfig;
 use swapram::{Instrumented, SwapConfig, SwapRuntime, SwapStats};
-
-/// FRAM capacity of the evaluation device in bytes.
-pub const FRAM_BYTES: u32 = 32 * 1024;
-/// SRAM capacity of the evaluation device in bytes.
-pub const SRAM_BYTES: u32 = 4 * 1024;
 
 /// Section placement for a build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -291,14 +286,14 @@ fn layout_for(profile: &MemoryProfile) -> LayoutConfig {
 
 /// Checks that every emitted section lies inside a mapped memory region.
 fn check_fit(assembly: &Assembly) -> Result<(), BuildError> {
+    let map = MemoryMap::fr2355();
     for (name, base, size) in &assembly.sections {
         if *size == 0 {
             continue;
         }
         let end = u32::from(*base) + u32::from(*size);
-        let in_sram = *base >= 0x2000 && end <= 0x3000;
-        let in_fram = *base >= 0x4000 && end <= 0xC000;
-        if !in_sram && !in_fram {
+        let inside = |r: AddrRange| *base >= r.start && end <= r.end;
+        if !inside(map.sram) && !inside(map.fram) {
             return Err(BuildError::DoesNotFit(format!(
                 "section `{name}` [{base:#06x}, {end:#07x}) exceeds its memory region"
             )));
@@ -348,7 +343,7 @@ pub fn build(
             (Program::Swap(Box::new(inst), cfg), m, h, a)
         }
         System::BlockCache(cfg) => {
-            let p = bbpass::transform(&module, cfg, &layout)?;
+            let p = bbpass::transform(&module, &layout)?;
             let (m, h) = (p.metadata_bytes, p.handler_bytes);
             let a = p.assembly.clone();
             (Program::Block(Box::new(p), cfg.clone()), m, h, a)
@@ -391,9 +386,6 @@ pub struct RunResult {
     /// Block-cache runtime counters, when applicable.
     pub block: Option<BlockStats>,
 }
-
-/// Default cycle budget per benchmark run.
-pub const DEFAULT_MAX_CYCLES: u64 = 2_000_000_000;
 
 /// Runs a built benchmark at `freq` with `input` loaded into its input
 /// buffer.
@@ -606,6 +598,94 @@ mod tests {
                 assert!(b.image().size_bytes() > 0);
             }
         }
+    }
+
+    #[test]
+    fn fixed_runtime_layout_fits_every_profile() {
+        let map = MemoryMap::fr2355();
+        for trap in [swapram::TRAP_ADDR, blockcache::TRAP_ADDR] {
+            assert!(
+                map.trap.contains(trap),
+                "trap {trap:#06x} outside the trap window"
+            );
+        }
+        let handler_windows = [swapram::HANDLER_CODE_BASE, blockcache::HANDLER_CODE_BASE]
+            .map(|base| (u32::from(base), u32::from(base) + 0x400));
+        let fixed = |profile| {
+            (
+                profile,
+                SwapConfig::unified_fr2355(),
+                BlockConfig::unified_fr2355(),
+            )
+        };
+        let split = |n| {
+            (
+                MemoryProfile::split_sram(n),
+                SwapConfig::split_fr2355(n),
+                BlockConfig::split_fr2355(n),
+            )
+        };
+        let profiles = [
+            fixed(MemoryProfile::unified()),
+            fixed(MemoryProfile::code_fram_data_sram()),
+            fixed(MemoryProfile::code_sram_data_fram()),
+            fixed(MemoryProfile::all_sram()),
+            split(0x400),
+            split(0x800),
+        ];
+        let benches = Benchmark::MIBENCH
+            .into_iter()
+            .chain(Benchmark::MULTITASK)
+            .chain([Benchmark::Arith]);
+        let mut built = 0;
+        for bench in benches {
+            for (profile, swap, block) in &profiles {
+                for system in [
+                    System::Baseline,
+                    System::SwapRam(swap.clone()),
+                    System::BlockCache(block.clone()),
+                ] {
+                    let Ok(b) = build(bench, &system, profile) else {
+                        continue;
+                    };
+                    built += 1;
+                    let assembly = match &b.program {
+                        Program::Base(a) => a,
+                        Program::Swap(i, _) => &i.assembly,
+                        Program::Block(p, _) => &p.assembly,
+                    };
+                    let mut spans: Vec<(u32, u32)> = assembly
+                        .sections
+                        .iter()
+                        .filter(|(_, _, size)| *size > 0)
+                        .map(|(_, base, size)| {
+                            (u32::from(*base), u32::from(*base) + u32::from(*size))
+                        })
+                        .collect();
+                    spans.sort_unstable();
+                    let what = format!(
+                        "{}/{}/{:#06x}",
+                        bench.name(),
+                        system.label(),
+                        profile.stack_top
+                    );
+                    for w in spans.windows(2) {
+                        assert!(w[0].1 <= w[1].0, "{what}: sections {w:?} overlap");
+                    }
+                    for (lo, hi) in handler_windows {
+                        for &(start, end) in &spans {
+                            assert!(
+                                end <= lo || start >= hi,
+                                "{what}: [{start:#x}, {end:#x}) in a handler window"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        // 216 builds minus the DNF cells and the SwapRAM-only multitask
+        // benchmarks under baseline and block.
+        assert_eq!(built, 177);
     }
 
     #[test]

@@ -44,9 +44,6 @@ const fn build_text() -> [u8; TEXT_LEN] {
     out
 }
 
-/// Exact length of [`SINTAB_Q13`] as used by the FFT size.
-pub const FFT_N: usize = 64;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -297,19 +297,6 @@ impl Operand {
         }
     }
 
-    /// True if the operand is a memory-addressing mode (reads or writes
-    /// memory when used as a source or destination).
-    pub fn is_memory(&self) -> bool {
-        matches!(
-            self,
-            Operand::Indexed(..)
-                | Operand::Symbolic(_)
-                | Operand::Absolute(_)
-                | Operand::Indirect(_)
-                | Operand::IndirectInc(_)
-        )
-    }
-
     /// The addressing mode of this operand.
     pub fn mode(&self) -> AddrMode {
         match self {

@@ -242,13 +242,6 @@ impl Machine {
         if self.engine.is_some() { Engine::Predecoded } else { Engine::Interp }
     }
 
-    /// Diagnostics of the pre-decoded engine, if active:
-    /// `(blocks_built, blocks_invalidated, delegated_steps)`.
-    pub fn engine_diagnostics(&self) -> Option<(u64, u64, u64)> {
-        let e = self.engine.as_ref()?;
-        Some((e.blocks_built(), e.blocks_invalidated(), e.delegated()))
-    }
-
     /// Attaches a per-function execution profiler (see
     /// [`crate::profile`]).
     pub fn attach_profiler(&mut self, profiler: Profiler) {

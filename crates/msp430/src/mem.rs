@@ -467,11 +467,6 @@ impl Bus {
         self.timer = Some(Box::new(timer));
     }
 
-    /// Detaches the timer-interrupt controller, returning it.
-    pub fn detach_timer(&mut self) -> Option<IrqTimer> {
-        self.timer.take().map(|t| *t)
-    }
-
     /// The attached timer, if any.
     #[inline]
     pub fn timer(&self) -> Option<&IrqTimer> {

@@ -84,7 +84,10 @@ pub enum IsrProtocol {
     Unprotected,
 }
 
-/// Configuration for the static pass and runtime.
+/// Configuration for the static pass and runtime. The FR2355 layout both
+/// share is fixed, not configured: [`crate::TRAP_ADDR`],
+/// [`crate::TABLES_BASE`], [`crate::HANDLER_CODE_BASE`] and
+/// [`crate::RESUME_BASE`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SwapConfig {
     /// First SRAM address of the function cache.
@@ -96,20 +99,6 @@ pub struct SwapConfig {
     /// Functions excluded from caching (§3.1's blacklist interface);
     /// their call sites keep direct `CALL #f` instructions.
     pub blacklist: BTreeSet<String>,
-    /// Trap address the redirection entries initially point at.
-    pub trap_addr: u16,
-    /// Base address of the metadata tables section (in FRAM).
-    pub tables_base: u16,
-    /// FRAM address window the miss handler executes from (used to model
-    /// the handler's own instruction fetches; paper §5.3 "we always
-    /// execute both it and memcpy from FRAM").
-    pub handler_code_base: u16,
-    /// Thrash-detection window for [`PolicyKind::FreezeOnThrash`]: how
-    /// many recent evictions are remembered.
-    pub thrash_window: usize,
-    /// Number of misses for which eviction stays frozen once thrashing is
-    /// detected.
-    pub freeze_misses: u32,
     /// Boot-time crash-recovery protocol.
     pub recovery: RecoveryMode,
     /// Run the metadata invariant checker after every serviced miss and
@@ -119,7 +108,7 @@ pub struct SwapConfig {
     /// runtime-mutable metadata (redirection + relocation words), verify
     /// them on every miss, and repair corrupted entries from the immutable
     /// FRAM image. Costs one FRAM word per function plus the
-    /// [`crate::cost::CostModel`] guard charges per miss.
+    /// [`crate::cost::COST`] guard charges per miss.
     pub guards: bool,
     /// Critical-section policy under timer interrupts.
     pub isr_protocol: IsrProtocol,
@@ -132,14 +121,6 @@ pub struct SwapConfig {
     /// ISR workload module and enable interrupts around `main` (see
     /// `mibench`'s builder). Off for the plain single-threaded figures.
     pub irq_harness: bool,
-    /// Base FRAM address of the [`RecoveryMode::PersistentStack`] resume
-    /// area (double-buffered checkpoint slots + watchdog words), emitted
-    /// as its own section above the handler window.
-    pub resume_base: u16,
-    /// Capacity of a checkpoint slot's saved-stack window in bytes
-    /// (even). Checkpoints are skipped — not truncated — when the live
-    /// stack is deeper than this.
-    pub resume_stack_bytes: u16,
     /// Exclusive top of the application stack (the address the entry
     /// stub loads into SP, rounded up to a word): the checkpoint saves
     /// `[SP, stack_top)`.
@@ -164,19 +145,12 @@ impl SwapConfig {
             cache_size: 0x1000,
             policy: PolicyKind::CircularQueue,
             blacklist: BTreeSet::new(),
-            trap_addr: 0x0F00,
-            tables_base: 0xB000,
-            handler_code_base: 0xB800,
-            thrash_window: 8,
-            freeze_misses: 32,
             recovery: RecoveryMode::FullScan,
             check_invariants: false,
             guards: true,
             isr_protocol: IsrProtocol::Masked,
             isr_roots: BTreeSet::new(),
             irq_harness: false,
-            resume_base: 0xBC00,
-            resume_stack_bytes: 320,
             stack_top: 0xA000,
             checkpoint_interval: 2_000,
             watchdog_boots: 4,
@@ -255,13 +229,6 @@ impl SwapConfig {
     /// boots before degrading to FRAM execution (builder style).
     pub fn with_watchdog_boots(mut self, boots: u16) -> SwapConfig {
         self.watchdog_boots = boots.max(1);
-        self
-    }
-
-    /// Sets the checkpoint slot's saved-stack capacity in bytes (builder
-    /// style; rounded down to a word).
-    pub fn with_resume_stack_bytes(mut self, bytes: u16) -> SwapConfig {
-        self.resume_stack_bytes = bytes & !1;
         self
     }
 }

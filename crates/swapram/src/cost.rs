@@ -8,12 +8,14 @@
 //! dedicated FRAM window so they contend for the hardware read cache and
 //! pay wait states like the real handler would.
 //!
-//! The constants are derived by hand-counting the MSP430 instruction
-//! sequences each handler step needs (register save/restore, table lookup,
-//! queue bookkeeping, per-reloc address arithmetic, the copy loop) and are
-//! deliberately on the conservative (expensive) side.
+//! [`COST`] is the one table the runtime reads. Its values are derived by
+//! hand-counting the MSP430 instruction sequences each handler step needs
+//! (register save/restore, table lookup, queue bookkeeping, per-reloc
+//! address arithmetic, the copy loop) and are deliberately on the
+//! conservative (expensive) side.
 
-/// Per-operation instruction/cycle charges for the miss handler.
+/// Per-operation instruction/cycle charges for the miss handler; the
+/// values in use are [`COST`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CostModel {
     /// Handler entry: save R12–R15 (the platform argument registers, §3.3),
@@ -85,47 +87,37 @@ pub struct CostModel {
     pub watchdog_cycles: u64,
 }
 
-impl CostModel {
-    /// The default model (hand-counted MSP430 sequences).
-    pub fn fr2355() -> CostModel {
-        CostModel {
-            entry_instrs: 14,
-            entry_cycles: 36,
-            scan_instrs: 6,
-            scan_cycles: 14,
-            evict_instrs: 10,
-            evict_cycles: 26,
-            reloc_instrs: 5,
-            reloc_cycles: 13,
-            copy_word_instrs: 3,
-            copy_word_cycles: 6,
-            exit_instrs: 8,
-            exit_cycles: 22,
-            recover_base_instrs: 12,
-            recover_base_cycles: 30,
-            recover_func_instrs: 8,
-            recover_func_cycles: 20,
-            journal_append_instrs: 6,
-            journal_append_cycles: 16,
-            guard_base_instrs: 5,
-            guard_base_cycles: 12,
-            guard_word_instrs: 18,
-            guard_word_cycles: 40,
-            checkpoint_base_instrs: 24,
-            checkpoint_base_cycles: 60,
-            checkpoint_word_instrs: 3,
-            checkpoint_word_cycles: 6,
-            watchdog_instrs: 10,
-            watchdog_cycles: 26,
-        }
-    }
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel::fr2355()
-    }
-}
+/// The FR2355 charges the runtime applies (hand-counted MSP430 sequences).
+pub const COST: CostModel = CostModel {
+    entry_instrs: 14,
+    entry_cycles: 36,
+    scan_instrs: 6,
+    scan_cycles: 14,
+    evict_instrs: 10,
+    evict_cycles: 26,
+    reloc_instrs: 5,
+    reloc_cycles: 13,
+    copy_word_instrs: 3,
+    copy_word_cycles: 6,
+    exit_instrs: 8,
+    exit_cycles: 22,
+    recover_base_instrs: 12,
+    recover_base_cycles: 30,
+    recover_func_instrs: 8,
+    recover_func_cycles: 20,
+    journal_append_instrs: 6,
+    journal_append_cycles: 16,
+    guard_base_instrs: 5,
+    guard_base_cycles: 12,
+    guard_word_instrs: 18,
+    guard_word_cycles: 40,
+    checkpoint_base_instrs: 24,
+    checkpoint_base_cycles: 60,
+    checkpoint_word_instrs: 3,
+    checkpoint_word_cycles: 6,
+    watchdog_instrs: 10,
+    watchdog_cycles: 26,
+};
 
 #[cfg(test)]
 mod tests {
@@ -133,7 +125,7 @@ mod tests {
 
     #[test]
     fn defaults_are_nonzero() {
-        let c = CostModel::fr2355();
+        let c = COST;
         assert!(c.entry_cycles >= c.entry_instrs);
         assert!(c.copy_word_cycles >= c.copy_word_instrs);
         assert!(c.exit_cycles > 0);

@@ -23,6 +23,7 @@
 use crate::guards::{crc16, guard_value, plausible_act};
 use crate::pass::ResumeArea;
 use crate::runtime::SwapRuntime;
+use crate::tables::TRAP_ADDR;
 use msp430_sim::mem::Bus;
 
 /// Validates every runtime/metadata consistency invariant.
@@ -137,10 +138,10 @@ fn check_functions(rt: &SwapRuntime, bus: &Bus) -> Result<(), String> {
                 *place
             }
             None => {
-                if redir != rt.cfg.trap_addr && redir != f.fram_addr {
+                if redir != TRAP_ADDR && redir != f.fram_addr {
                     return Err(format!(
-                        "uncached {}: redirection {redir:#06x} is neither trap {:#06x} nor FRAM home {:#06x}",
-                        f.name, rt.cfg.trap_addr, f.fram_addr
+                        "uncached {}: redirection {redir:#06x} is neither trap {TRAP_ADDR:#06x} nor FRAM home {:#06x}",
+                        f.name, f.fram_addr
                     ));
                 }
                 f.fram_addr
@@ -236,7 +237,7 @@ fn check_resume(rt: &SwapRuntime, bus: &Bus) -> Result<(), String> {
             continue;
         }
         let len = bus.peek_word(ra.word_addr(s, ResumeArea::LEN_OFS));
-        if len & 1 != 0 || len > ra.stack_cap {
+        if len & 1 != 0 || len > ResumeArea::STACK_BYTES {
             return Err(format!(
                 "checkpoint slot {s}: committed frame has implausible stack length {len}"
             ));

@@ -16,6 +16,12 @@
 //! * [`runtime`] — the cache-miss handler and circular-queue cache
 //!   structure, attached to the simulator as a machine hook.
 //!
+//! [`SwapConfig`] holds what experiments vary. The FR2355 layout the two
+//! halves share is fixed: the trap [`TRAP_ADDR`], the metadata tables at
+//! [`TABLES_BASE`], the handler's FRAM window at [`HANDLER_CODE_BASE`],
+//! the persistent-stack resume area at [`RESUME_BASE`], and the handler
+//! charges in [`COST`].
+//!
 //! ## Example
 //!
 //! ```
@@ -61,10 +67,11 @@ pub mod stats;
 pub mod tables;
 
 pub use config::{IsrProtocol, PolicyKind, RecoveryMode, SwapConfig};
-pub use cost::CostModel;
+pub use cost::{CostModel, COST};
 pub use pass::{Instrumented, Journal, ResumeArea, SwapFunc, SwapReloc};
-pub use runtime::{RecoveryOutcome, SwapRuntime};
+pub use runtime::{RecoveryOutcome, SwapRuntime, HANDLER_CODE_BASE};
 pub use stats::SwapStats;
+pub use tables::{RESUME_BASE, TABLES_BASE, TRAP_ADDR};
 
 use msp430_asm::ast::Module;
 use msp430_asm::error::AsmResult;

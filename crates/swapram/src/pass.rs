@@ -32,8 +32,8 @@ use crate::config::{IsrProtocol, RecoveryMode, SwapConfig};
 use crate::guards::guard_value;
 use crate::tables::{
     act_symbol, guard_symbol, isrfid_symbol, redir_symbol, reloc_symbol, resume_slot_symbol,
-    rofs_symbol, DIRTY_COUNT_SYMBOL, DIRTY_SLOTS_SYMBOL, FID_SYMBOL, GEN_SYMBOL,
-    RESUME_SECTION, TABLES_SECTION, WATCHDOG_SYMBOL,
+    rofs_symbol, DIRTY_COUNT_SYMBOL, DIRTY_SLOTS_SYMBOL, FID_SYMBOL, GEN_SYMBOL, RESUME_BASE,
+    RESUME_SECTION, TABLES_BASE, TABLES_SECTION, TRAP_ADDR, WATCHDOG_SYMBOL,
 };
 use msp430_asm::ast::{AsmOperand, Insn, Item, Module, Stmt};
 use msp430_asm::error::{AsmError, AsmResult};
@@ -115,8 +115,6 @@ pub struct ResumeArea {
     pub slot_addrs: [u16; 2],
     /// Size of one slot in words.
     pub slot_words: u16,
-    /// Capacity of a slot's saved-stack window, in bytes.
-    pub stack_cap: u16,
     /// Number of active counters saved per slot.
     pub nfuncs: u16,
     /// Address of the watchdog block: boot count, last resumed state
@@ -138,21 +136,20 @@ impl ResumeArea {
     pub const FID_OFS: u16 = 19;
     /// Word offset of the saved active counters within a slot.
     pub const ACT_OFS: u16 = 20;
+    /// Capacity of a slot's saved-stack window in bytes (even).
+    /// Checkpoints are skipped, not truncated, when the live stack is
+    /// deeper than this.
+    pub const STACK_BYTES: u16 = 320;
 
-    /// Slot words needed for `nfuncs` counters and `stack_cap` stack
-    /// bytes.
-    pub fn words_for(nfuncs: u16, stack_cap: u16) -> u16 {
-        Self::ACT_OFS + nfuncs + stack_cap / 2
+    /// Slot words needed for `nfuncs` counters and the saved-stack
+    /// window.
+    pub fn words_for(nfuncs: u16) -> u16 {
+        Self::ACT_OFS + nfuncs + Self::STACK_BYTES / 2
     }
 
     /// Byte address of word `ofs` in slot `slot`.
     pub fn word_addr(&self, slot: usize, ofs: u16) -> u16 {
         self.slot_addrs[slot] + ofs * 2
-    }
-
-    /// Byte address of the saved-stack window in slot `slot`.
-    pub fn stack_addr(&self, slot: usize) -> u16 {
-        self.word_addr(slot, Self::ACT_OFS + self.nfuncs)
     }
 }
 
@@ -226,9 +223,9 @@ pub fn instrument(
         }
     }
     let wants_resume = swap.recovery == RecoveryMode::PersistentStack;
-    let mut layout = layout.clone().with_section(TABLES_SECTION, swap.tables_base);
+    let mut layout = layout.clone().with_section(TABLES_SECTION, TABLES_BASE);
     if wants_resume {
-        layout = layout.with_section(RESUME_SECTION, swap.resume_base);
+        layout = layout.with_section(RESUME_SECTION, RESUME_BASE);
     }
 
     // Determine the cacheable set: every `.func` function except the entry
@@ -267,7 +264,7 @@ pub fn instrument(
     instrumented.push(Item::Word(vec![Expr::num(0)]));
     for name in ids.keys() {
         instrumented.push(Item::Label(redir_symbol(name)));
-        instrumented.push(Item::Word(vec![Expr::num(i64::from(swap.trap_addr))]));
+        instrumented.push(Item::Word(vec![Expr::num(i64::from(TRAP_ADDR))]));
         instrumented.push(Item::Label(act_symbol(name)));
         instrumented.push(Item::Word(vec![Expr::num(0)]));
     }
@@ -288,17 +285,15 @@ pub fn instrument(
         instrumented.push(Item::Label(DIRTY_SLOTS_SYMBOL.to_string()));
         instrumented.push(Item::Word(vec![Expr::num(0); ids.len().max(1)]));
     }
-    let resume_stack_cap = swap.resume_stack_bytes & !1;
-    let resume_slot_words = ResumeArea::words_for(ids.len().max(1) as u16, resume_stack_cap);
+    let resume_slot_words = ResumeArea::words_for(ids.len().max(1) as u16);
     if wants_resume {
         // The FR2355's FRAM ends at 0xC000: the double-buffered area must
-        // fit between `resume_base` and the end of the part.
+        // fit between `RESUME_BASE` and the end of the part.
         let need = u32::from(resume_slot_words) * 4 + 8;
-        let avail = 0xC000u32.saturating_sub(u32::from(swap.resume_base));
+        let avail = 0xC000 - u32::from(RESUME_BASE);
         if need > avail {
             return Err(AsmError::global(format!(
-                "persistent-stack resume area needs {need} bytes at 0x{:04x} but only {avail} fit below the end of FRAM; shrink `resume_stack_bytes`",
-                swap.resume_base
+                "persistent-stack resume area needs {need} bytes at {RESUME_BASE:#06x} but only {avail} fit below the end of FRAM"
             )));
         }
         instrumented.push(Item::Section(RESUME_SECTION.to_string()));
@@ -381,7 +376,7 @@ pub fn instrument(
                 .unwrap_or_default();
             reloc_stmts.push(Stmt::synth(Item::Label(guard_symbol(name))));
             reloc_stmts.push(Stmt::synth(Item::Word(vec![Expr::num(i64::from(
-                guard_value(swap.trap_addr, &targets),
+                guard_value(TRAP_ADDR, &targets),
             ))])));
         }
     }
@@ -469,7 +464,6 @@ pub fn instrument(
         Some(ResumeArea {
             slot_addrs: [lookup(&resume_slot_symbol(0))?, lookup(&resume_slot_symbol(1))?],
             slot_words: resume_slot_words,
-            stack_cap: resume_stack_cap,
             nfuncs: ids.len().max(1) as u16,
             watchdog_addr: lookup(WATCHDOG_SYMBOL)?,
         })
@@ -649,11 +643,11 @@ work:
         let seg = img
             .segments
             .iter()
-            .find(|s| s.addr == sc.tables_base)
+            .find(|s| s.addr == TABLES_BASE)
             .expect("metadata segment");
-        let off = usize::from(main.redir_addr - sc.tables_base);
+        let off = usize::from(main.redir_addr - TABLES_BASE);
         let w = u16::from(seg.bytes[off]) | (u16::from(seg.bytes[off + 1]) << 8);
-        assert_eq!(w, sc.trap_addr);
+        assert_eq!(w, TRAP_ADDR);
     }
 
     #[test]
@@ -745,7 +739,7 @@ big_end:
             let relocs: Vec<u16> = f.relocs.iter().map(|r| f.fram_addr + r.ofs).collect();
             assert_eq!(
                 peek(&inst.assembly.image, ga),
-                guard_value(sc.trap_addr, &relocs),
+                guard_value(TRAP_ADDR, &relocs),
                 "guard init must match the uncached metadata state of `{}`",
                 f.name
             );
@@ -807,7 +801,7 @@ isr:
         assert_eq!(inst.isr_slots.len(), 1);
         assert_eq!(inst.isr_slots[0].0, "isr");
         let slot = inst.isr_slots[0].1;
-        assert!(slot >= sc.tables_base, "slot lives in the metadata section");
+        assert!(slot >= TABLES_BASE, "slot lives in the metadata section");
         let asm_text = inst.assembly.module.to_asm();
         let sym = isrfid_symbol("isr");
         assert_eq!(

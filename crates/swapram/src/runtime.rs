@@ -8,15 +8,16 @@
 //! invokes [`SwapRuntime::on_trap`]. The handler's memory traffic —
 //! metadata reads, redirection and relocation writes, the word-by-word
 //! function copy — all go through the bus and are counted like any other
-//! access; its instruction-execution effort is charged from the
-//! [`CostModel`] and attributed to the `miss handler` / `memcpy`
+//! access; its instruction-execution effort is charged from the cost
+//! table [`COST`] and attributed to the `miss handler` / `memcpy`
 //! categories of Figure 8.
 
 use crate::config::{IsrProtocol, PolicyKind, RecoveryMode, SwapConfig};
-use crate::cost::CostModel;
+use crate::cost::COST;
 use crate::guards::{crc16, guard_value, plausible_act};
 use crate::pass::{Instrumented, Journal, ResumeArea, SwapFunc};
 use crate::stats::SwapStats;
+use crate::tables::TRAP_ADDR;
 use msp430_sim::cpu::{Cpu, FLAG_GIE};
 use msp430_sim::error::{SimError, SimResult};
 use msp430_sim::isa::Reg;
@@ -26,6 +27,18 @@ use msp430_sim::trace::Category;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
+
+/// FRAM window the miss handler executes from: its modeled instruction
+/// fetches are replayed here (paper §5.3 "we always execute both it and
+/// memcpy from FRAM").
+pub const HANDLER_CODE_BASE: u16 = 0xB800;
+
+/// Thrash-detection window of [`PolicyKind::FreezeOnThrash`]: how many
+/// recent evictions are remembered.
+const THRASH_WINDOW: usize = 8;
+
+/// Misses for which eviction stays frozen once thrashing is detected.
+const FREEZE_MISSES: u32 = 32;
 
 /// A cached function occupying `[addr, addr + size)` in SRAM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,7 +97,6 @@ pub struct SwapRuntime {
     funcs: Vec<SwapFunc>,
     fid_addr: u16,
     pub(crate) cfg: SwapConfig,
-    cost: CostModel,
     /// Cached functions in caching order (front = least recently cached).
     entries: VecDeque<Entry>,
     /// Next placement address in the circular queue.
@@ -144,24 +156,16 @@ impl SwapRuntime {
     /// Creates a runtime for a program instrumented by
     /// [`crate::pass::instrument`].
     pub fn new(inst: &Instrumented, cfg: SwapConfig) -> SwapRuntime {
-        SwapRuntime::with_cost(inst, cfg, CostModel::default())
-    }
-
-    /// Creates a runtime with an explicit cost model (for sensitivity
-    /// studies).
-    pub fn with_cost(inst: &Instrumented, cfg: SwapConfig, cost: CostModel) -> SwapRuntime {
         let tail = cfg.cache_base;
-        let fetch_cursor = cfg.handler_code_base;
         let logged = vec![false; inst.funcs.len()];
         SwapRuntime {
             funcs: inst.funcs.clone(),
             fid_addr: inst.fid_addr,
             cfg,
-            cost,
             entries: VecDeque::new(),
             tail,
             stats: Rc::new(RefCell::new(SwapStats::new())),
-            fetch_cursor,
+            fetch_cursor: HANDLER_CODE_BASE,
             recent_evictions: VecDeque::new(),
             thrash_run: 0,
             fallback_run: 0,
@@ -330,7 +334,7 @@ impl SwapRuntime {
             || sp == 0
             || sp & 1 != 0
             || sp >= top
-            || top - sp > ra.stack_cap
+            || top - sp > ResumeArea::STACK_BYTES
             || !bus.fram_contains(sp, u32::from(top));
         if skip {
             self.stats.borrow_mut().checkpoint_skips += 1;
@@ -389,8 +393,8 @@ impl SwapRuntime {
         self.charge(
             bus,
             Category::MissHandler,
-            self.cost.checkpoint_base_instrs + self.cost.checkpoint_word_instrs * words,
-            self.cost.checkpoint_base_cycles + self.cost.checkpoint_word_cycles * words,
+            COST.checkpoint_base_instrs + COST.checkpoint_word_instrs * words,
+            COST.checkpoint_base_cycles + COST.checkpoint_word_cycles * words,
         )?;
         if self.wd_degraded {
             // Forward progress is provable again: clear the *persistent*
@@ -415,7 +419,7 @@ impl SwapRuntime {
     /// a torn commit the caller rolls back.
     fn read_slot(&mut self, bus: &mut Bus, ra: ResumeArea, slot: usize) -> SimResult<Option<Vec<u16>>> {
         let len = bus.read_word(ra.word_addr(slot, ResumeArea::LEN_OFS), AccessKind::Read)?;
-        if len & 1 != 0 || len > ra.stack_cap || len >= self.cfg.stack_top {
+        if len & 1 != 0 || len > ResumeArea::STACK_BYTES || len >= self.cfg.stack_top {
             return Ok(None);
         }
         let n = ResumeArea::ACT_OFS - ResumeArea::LEN_OFS + ra.nfuncs + len / 2;
@@ -428,8 +432,8 @@ impl SwapRuntime {
         self.charge(
             bus,
             Category::MissHandler,
-            self.cost.checkpoint_base_instrs + self.cost.checkpoint_word_instrs * words,
-            self.cost.checkpoint_base_cycles + self.cost.checkpoint_word_cycles * words,
+            COST.checkpoint_base_instrs + COST.checkpoint_word_instrs * words,
+            COST.checkpoint_base_cycles + COST.checkpoint_word_cycles * words,
         )?;
         if crc != crc16(payload.iter().copied()) {
             return Ok(None);
@@ -505,8 +509,9 @@ impl SwapRuntime {
         payload: &[u16],
     ) -> SimResult<()> {
         let len = payload[0];
+        let fid_at = usize::from(ResumeArea::FID_OFS - ResumeArea::LEN_OFS);
         let acts_start = usize::from(ResumeArea::ACT_OFS - ResumeArea::LEN_OFS);
-        bus.write_word(self.fid_addr, payload[acts_start - 1])?;
+        bus.write_word(self.fid_addr, payload[fid_at])?;
         for (i, f) in self.funcs.iter().enumerate() {
             let v = payload.get(acts_start + i).copied().unwrap_or(0);
             bus.write_word(f.act_addr, v)?;
@@ -524,8 +529,8 @@ impl SwapRuntime {
         self.charge(
             bus,
             Category::MissHandler,
-            self.cost.checkpoint_base_instrs + self.cost.checkpoint_word_instrs * words,
-            self.cost.checkpoint_base_cycles + self.cost.checkpoint_word_cycles * words,
+            COST.checkpoint_base_instrs + COST.checkpoint_word_instrs * words,
+            COST.checkpoint_base_cycles + COST.checkpoint_word_cycles * words,
         )
     }
 
@@ -563,7 +568,7 @@ impl SwapRuntime {
         bus.write_word(wa.wrapping_add(2), prog2)?;
         bus.write_word(wa.wrapping_add(4), nonprog2)?;
         bus.write_word(wa.wrapping_add(6), degraded2)?;
-        self.charge(bus, Category::MissHandler, self.cost.watchdog_instrs, self.cost.watchdog_cycles)?;
+        self.charge(bus, Category::MissHandler, COST.watchdog_instrs, COST.watchdog_cycles)?;
         self.wd_degraded = degraded2 != 0;
         Ok(self.wd_degraded)
     }
@@ -624,7 +629,7 @@ impl SwapRuntime {
     /// (so they pay wait states and contend for the hardware cache).
     fn charge(&mut self, bus: &mut Bus, cat: Category, instrs: u64, cycles: u64) -> SimResult<()> {
         bus.stats_mut().charge_modeled(cat, instrs, cycles);
-        bus.replay_handler_fetches(self.cfg.handler_code_base, &mut self.fetch_cursor, instrs)
+        bus.replay_handler_fetches(HANDLER_CODE_BASE, &mut self.fetch_cursor, instrs)
     }
 
     /// Aligned size (functions occupy whole words).
@@ -733,8 +738,8 @@ impl SwapRuntime {
         self.charge(
             bus,
             Category::MissHandler,
-            self.cost.guard_base_instrs + self.cost.guard_word_instrs * words,
-            self.cost.guard_base_cycles + self.cost.guard_word_cycles * words,
+            COST.guard_base_instrs + COST.guard_word_instrs * words,
+            COST.guard_base_cycles + COST.guard_word_cycles * words,
         )
     }
 
@@ -757,8 +762,8 @@ impl SwapRuntime {
         self.charge(
             bus,
             Category::MissHandler,
-            self.cost.guard_base_instrs + self.cost.guard_word_instrs * words,
-            self.cost.guard_base_cycles + self.cost.guard_word_cycles * words,
+            COST.guard_base_instrs + COST.guard_word_instrs * words,
+            COST.guard_base_cycles + COST.guard_word_cycles * words,
         )?;
         self.stats.borrow_mut().guard_checks += 1;
         if stored != guard_value(redir, &vals) {
@@ -766,7 +771,7 @@ impl SwapRuntime {
         }
         Ok(match self.entries.iter().find(|e| e.id == f.id) {
             Some(e) => redir == e.addr,
-            None => redir == self.cfg.trap_addr || redir == f.fram_addr,
+            None => redir == TRAP_ADDR || redir == f.fram_addr,
         })
     }
 
@@ -790,7 +795,7 @@ impl SwapRuntime {
         for e in snapshot {
             let f = self.func(e.id)?.clone();
             let redir = bus.read_word(f.redir_addr, AccessKind::Read)?;
-            self.charge(bus, Category::MissHandler, self.cost.scan_instrs, self.cost.scan_cycles)?;
+            self.charge(bus, Category::MissHandler, COST.scan_instrs, COST.scan_cycles)?;
             self.stats.borrow_mut().guard_checks += 1;
             if redir != e.addr {
                 self.repair_function(bus, e.id)?;
@@ -920,7 +925,7 @@ impl SwapRuntime {
             // address (a push through SP 0 would have faulted); a valid
             // funcId is the only evidence available. Only direct-drive
             // harnesses reach this — a real call always has a stack.
-            return if trap_pc == self.cfg.trap_addr && usize::from(fid) < self.funcs.len() {
+            return if trap_pc == TRAP_ADDR && usize::from(fid) < self.funcs.len() {
                 Ok(fid)
             } else {
                 Err(SimError::Hook(format!(
@@ -933,12 +938,12 @@ impl SwapRuntime {
         self.charge(
             bus,
             Category::MissHandler,
-            self.cost.guard_base_instrs,
-            self.cost.guard_base_cycles,
+            COST.guard_base_instrs,
+            COST.guard_base_cycles,
         )?;
         self.stats.borrow_mut().guard_checks += 1;
         let by_site = self.funcs.iter().position(|g| g.redir_addr == site).map(|i| i as u16);
-        if trap_pc != self.cfg.trap_addr {
+        if trap_pc != TRAP_ADDR {
             // A corrupted redirection word that still points into the trap
             // window: recover the callee from the call site or give up
             // with a typed error — never guess.
@@ -975,7 +980,7 @@ impl SwapRuntime {
     /// its relocation words to their FRAM targets (§3.3.2).
     fn evict(&mut self, bus: &mut Bus, victim: Entry) -> SimResult<()> {
         let f = self.func(victim.id)?.clone();
-        bus.write_word(f.redir_addr, self.cfg.trap_addr)?;
+        bus.write_word(f.redir_addr, TRAP_ADDR)?;
         let reloc_count = f.relocs.len() as u64;
         for r in &f.relocs {
             bus.write_word(r.reloc_addr, f.fram_addr.wrapping_add(r.ofs))?;
@@ -983,17 +988,17 @@ impl SwapRuntime {
         self.charge(
             bus,
             Category::MissHandler,
-            self.cost.evict_instrs + self.cost.reloc_instrs * reloc_count,
-            self.cost.evict_cycles + self.cost.reloc_cycles * reloc_count,
+            COST.evict_instrs + COST.reloc_instrs * reloc_count,
+            COST.evict_cycles + COST.reloc_cycles * reloc_count,
         )?;
         self.entries.retain(|e| e.id != victim.id);
         let vals = Self::fram_reloc_values(&f);
-        self.refresh_guard(bus, &f, self.cfg.trap_addr, &vals)?;
+        self.refresh_guard(bus, &f, TRAP_ADDR, &vals)?;
         let mut stats = self.stats.borrow_mut();
         stats.evictions += 1;
         drop(stats);
         self.recent_evictions.push_back(victim.id);
-        while self.recent_evictions.len() > self.cfg.thrash_window {
+        while self.recent_evictions.len() > THRASH_WINDOW {
             self.recent_evictions.pop_front();
         }
         Ok(())
@@ -1010,8 +1015,8 @@ impl SwapRuntime {
         self.charge(
             bus,
             Category::Memcpy,
-            self.cost.copy_word_instrs * words,
-            self.cost.copy_word_cycles * words,
+            COST.copy_word_instrs * words,
+            COST.copy_word_cycles * words,
         )?;
         let reloc_count = f.relocs.len() as u64;
         for r in &f.relocs {
@@ -1029,8 +1034,8 @@ impl SwapRuntime {
         self.charge(
             bus,
             Category::MissHandler,
-            self.cost.reloc_instrs * reloc_count,
-            self.cost.reloc_cycles * reloc_count,
+            COST.reloc_instrs * reloc_count,
+            COST.reloc_cycles * reloc_count,
         )?;
         let vals: Vec<u16> = f.relocs.iter().map(|r| place.wrapping_add(r.ofs)).collect();
         self.refresh_guard(bus, f, place, &vals)?;
@@ -1067,8 +1072,8 @@ impl SwapRuntime {
         self.charge(
             bus,
             Category::MissHandler,
-            self.cost.journal_append_instrs,
-            self.cost.journal_append_cycles,
+            COST.journal_append_instrs,
+            COST.journal_append_cycles,
         )?;
         self.logged[usize::from(fid)] = true;
         self.stats.borrow_mut().journal_appends += 1;
@@ -1119,8 +1124,8 @@ impl SwapRuntime {
         self.charge(
             bus,
             Category::MissHandler,
-            self.cost.recover_base_instrs,
-            self.cost.recover_base_cycles,
+            COST.recover_base_instrs,
+            COST.recover_base_cycles,
         )?;
         let want_log = self.cfg.recovery == RecoveryMode::DirtyLog && self.journal.is_some();
         let from_log = if want_log { self.recover_from_log(bus)? } else { None };
@@ -1200,7 +1205,7 @@ impl SwapRuntime {
             let redir = bus.read_word(f.redir_addr, AccessKind::Read)?;
             // A permanent FRAM redirect (too-large function) is
             // crash-safe and worth preserving across reboots.
-            let mut dirty = redir != self.cfg.trap_addr && redir != f.fram_addr;
+            let mut dirty = redir != TRAP_ADDR && redir != f.fram_addr;
             let mut reloc_vals = Vec::with_capacity(f.relocs.len());
             for r in &f.relocs {
                 let reloc = bus.read_word(r.reloc_addr, AccessKind::Read)?;
@@ -1227,7 +1232,7 @@ impl SwapRuntime {
                 }
                 if let Some(ga) = f.guard_addr {
                     let (redir_now, vals) = if dirty {
-                        (self.cfg.trap_addr, Self::fram_reloc_values(&f))
+                        (TRAP_ADDR, Self::fram_reloc_values(&f))
                     } else {
                         (redir, reloc_vals)
                     };
@@ -1236,8 +1241,8 @@ impl SwapRuntime {
                     self.charge(
                         bus,
                         Category::MissHandler,
-                        self.cost.guard_base_instrs + self.cost.guard_word_instrs * words,
-                        self.cost.guard_base_cycles + self.cost.guard_word_cycles * words,
+                        COST.guard_base_instrs + COST.guard_word_instrs * words,
+                        COST.guard_base_cycles + COST.guard_word_cycles * words,
                     )?;
                     self.stats.borrow_mut().guard_checks += 1;
                     let expected = guard_value(redir_now, &vals);
@@ -1250,8 +1255,8 @@ impl SwapRuntime {
             self.charge(
                 bus,
                 Category::MissHandler,
-                self.cost.scan_instrs,
-                self.cost.scan_cycles,
+                COST.scan_instrs,
+                COST.scan_cycles,
             )?;
         }
         Ok(rewound)
@@ -1262,7 +1267,7 @@ impl SwapRuntime {
     /// FRAM targets, active counter cleared. Idempotent.
     fn rewind_function(&mut self, bus: &mut Bus, fid: u16) -> SimResult<()> {
         let f = self.func(fid)?.clone();
-        bus.write_word(f.redir_addr, self.cfg.trap_addr)?;
+        bus.write_word(f.redir_addr, TRAP_ADDR)?;
         for r in &f.relocs {
             bus.write_word(r.reloc_addr, f.fram_addr.wrapping_add(r.ofs))?;
         }
@@ -1270,11 +1275,11 @@ impl SwapRuntime {
         self.charge(
             bus,
             Category::MissHandler,
-            self.cost.recover_func_instrs + self.cost.reloc_instrs * f.relocs.len() as u64,
-            self.cost.recover_func_cycles + self.cost.reloc_cycles * f.relocs.len() as u64,
+            COST.recover_func_instrs + COST.reloc_instrs * f.relocs.len() as u64,
+            COST.recover_func_cycles + COST.reloc_cycles * f.relocs.len() as u64,
         )?;
         let vals = Self::fram_reloc_values(&f);
-        self.refresh_guard(bus, &f, self.cfg.trap_addr, &vals)?;
+        self.refresh_guard(bus, &f, TRAP_ADDR, &vals)?;
         Ok(())
     }
 
@@ -1289,7 +1294,7 @@ impl SwapRuntime {
             bus.write_word(r.reloc_addr, f.fram_addr.wrapping_add(r.ofs))?;
         }
         let vals = Self::fram_reloc_values(f);
-        self.refresh_guard(bus, f, self.cfg.trap_addr, &vals)?;
+        self.refresh_guard(bus, f, TRAP_ADDR, &vals)?;
         Ok(())
     }
 
@@ -1303,7 +1308,7 @@ impl SwapRuntime {
         if self.recent_evictions.contains(&id) {
             self.thrash_run += 1;
             if self.thrash_run >= 4 {
-                self.freeze_left = self.cfg.freeze_misses;
+                self.freeze_left = FREEZE_MISSES;
                 self.thrash_run = 0;
                 self.stats.borrow_mut().freezes += 1;
             }
@@ -1321,7 +1326,7 @@ impl SwapRuntime {
         }
         self.fallback_run += 1;
         if self.fallback_run >= 4 {
-            self.freeze_left = self.cfg.freeze_misses;
+            self.freeze_left = FREEZE_MISSES;
             self.fallback_run = 0;
             self.stats.borrow_mut().freezes += 1;
         }
@@ -1377,22 +1382,21 @@ impl Hook for SwapRuntime {
     }
 
     fn on_trap(&mut self, cpu: &mut Cpu, bus: &mut Bus, trap_pc: u16) -> SimResult<TrapAction> {
-        if !self.cfg.guards && trap_pc != self.cfg.trap_addr {
+        if !self.cfg.guards && trap_pc != TRAP_ADDR {
             return Err(SimError::Hook(format!(
-                "unexpected trap at 0x{trap_pc:04x} (SwapRAM trap is 0x{:04x})",
-                self.cfg.trap_addr
+                "unexpected trap at 0x{trap_pc:04x} (SwapRAM trap is 0x{TRAP_ADDR:04x})"
             )));
         }
         // Unprotected entry preemption point: let a pending ISR run before
         // any miss bookkeeping (the re-armed call re-traps afterwards, so
         // the miss is not lost — it may be counted twice).
-        if trap_pc == self.cfg.trap_addr && self.try_isr_yield(cpu, bus)? {
+        if trap_pc == TRAP_ADDR && self.try_isr_yield(cpu, bus)? {
             return Ok(TrapAction::Resume);
         }
         self.stats.borrow_mut().misses += 1;
         // Handler entry: save argument registers, read funcId, look up the
         // function-info record (one metadata read from FRAM).
-        self.charge(bus, Category::MissHandler, self.cost.entry_instrs, self.cost.entry_cycles)?;
+        self.charge(bus, Category::MissHandler, COST.entry_instrs, COST.entry_cycles)?;
         let mut fid = bus.read_word(self.fid_addr, AccessKind::Read)?;
         if self.cfg.guards {
             // Cross-check the funcId against the call site (repairing it or
@@ -1410,10 +1414,10 @@ impl Hook for SwapRuntime {
         // Trap-entry commit point: the trap window is a stable FRAM
         // address, so a resume that restores this PC simply re-traps and
         // re-services the miss against the recovered (empty) cache.
-        self.maybe_checkpoint(cpu, bus, self.cfg.trap_addr, false)?;
+        self.maybe_checkpoint(cpu, bus, TRAP_ADDR, false)?;
         let exit = |rt: &mut SwapRuntime, cpu: &mut Cpu, bus: &mut Bus, target: u16| {
             cpu.set_pc(target);
-            rt.charge(bus, Category::MissHandler, rt.cost.exit_instrs, rt.cost.exit_cycles)?;
+            rt.charge(bus, Category::MissHandler, COST.exit_instrs, COST.exit_cycles)?;
             rt.enforce_invariants(bus)?;
             Ok(TrapAction::Resume)
         };
@@ -1462,8 +1466,8 @@ impl Hook for SwapRuntime {
             self.charge(
                 bus,
                 Category::MissHandler,
-                self.cost.scan_instrs * (flagged.len() as u64 + 1),
-                self.cost.scan_cycles * (flagged.len() as u64 + 1),
+                COST.scan_instrs * (flagged.len() as u64 + 1),
+                COST.scan_cycles * (flagged.len() as u64 + 1),
             )?;
             let mut blocked = false;
             for e in &flagged {
@@ -1739,7 +1743,7 @@ dbl:
 
         // Cache function 0, then corrupt its redirection word.
         bus.poke_word(rt.fid_addr(), 0);
-        rt.on_trap(&mut cpu, &mut bus, cfg.trap_addr).unwrap();
+        rt.on_trap(&mut cpu, &mut bus, TRAP_ADDR).unwrap();
         let f0 = inst.funcs[0].clone();
         let place = rt.entries_snapshot()[0].1;
         bus.poke_word(f0.redir_addr, place ^ 0x0040);
@@ -1747,21 +1751,21 @@ dbl:
         // A miss on another function scrubs the cached set, detects the
         // mismatch, and rebuilds f0's uncached state from the image.
         bus.poke_word(rt.fid_addr(), 1);
-        rt.on_trap(&mut cpu, &mut bus, cfg.trap_addr).unwrap();
+        rt.on_trap(&mut cpu, &mut bus, TRAP_ADDR).unwrap();
         assert!(stats.borrow().guard_repairs >= 1, "{}", stats.borrow());
         assert!(!rt.cached_ids().contains(&0), "corrupt entry must be dropped");
-        assert_eq!(bus.peek_word(f0.redir_addr), cfg.trap_addr, "redirection rewound");
+        assert_eq!(bus.peek_word(f0.redir_addr), TRAP_ADDR, "redirection rewound");
         rt.check_invariants(&bus).expect("repaired state is consistent");
 
         // Corrupt the guard word itself: the target verify on f0's next
         // miss repairs it (a guard flip rewinds a healthy function — safe).
         bus.poke_word(rt.fid_addr(), 0);
-        rt.on_trap(&mut cpu, &mut bus, cfg.trap_addr).unwrap();
+        rt.on_trap(&mut cpu, &mut bus, TRAP_ADDR).unwrap();
         let ga = f0.guard_addr.expect("guards are on by default");
         bus.poke_word(ga, bus.peek_word(ga) ^ 0x0001);
         let before = stats.borrow().guard_repairs;
         bus.poke_word(rt.fid_addr(), 0);
-        rt.on_trap(&mut cpu, &mut bus, cfg.trap_addr).unwrap();
+        rt.on_trap(&mut cpu, &mut bus, TRAP_ADDR).unwrap();
         assert!(stats.borrow().guard_repairs > before);
         rt.check_invariants(&bus).expect("guard-word flip repaired");
     }
@@ -1789,14 +1793,14 @@ dbl:
         // any other function's miss must try to evict it.
         let victim = inst.funcs.iter().max_by_key(|f| f.size).unwrap().id;
         bus.poke_word(rt.fid_addr(), victim);
-        rt.on_trap(&mut cpu, &mut bus, cfg.trap_addr).unwrap();
+        rt.on_trap(&mut cpu, &mut bus, TRAP_ADDR).unwrap();
         assert_eq!(rt.cached_ids(), vec![victim]);
         // An active counter far beyond any plausible call nesting: the
         // runtime must refuse to trust it and fall back to FRAM execution.
         bus.poke_word(inst.funcs[usize::from(victim)].act_addr, 0x7F00);
         let second = inst.funcs.iter().find(|f| f.id != victim).unwrap().id;
         bus.poke_word(rt.fid_addr(), second);
-        rt.on_trap(&mut cpu, &mut bus, cfg.trap_addr).unwrap();
+        rt.on_trap(&mut cpu, &mut bus, TRAP_ADDR).unwrap();
         let s = stats.borrow();
         assert!(s.guard_degraded >= 1, "{s}");
         assert_eq!(s.evictions, 0, "no eviction through a corrupt counter: {s}");

@@ -6,6 +6,13 @@
 /// Name of the metadata section.
 pub const TABLES_SECTION: &str = "srtab";
 
+/// FRAM base address of the metadata section.
+pub const TABLES_BASE: u16 = 0xB000;
+
+/// Trap-window address every redirection word initially points at: a
+/// call through an uncached function's word lands in the miss handler.
+pub const TRAP_ADDR: u16 = 0x0F00;
+
 /// Symbol of the global `funcId` word written before each indirect call.
 pub const FID_SYMBOL: &str = "__sr_fid";
 
@@ -45,6 +52,10 @@ pub fn isrfid_symbol(func: &str) -> String {
 /// watchdog words), emitted above the handler window so the metadata
 /// tables' Figure-7 accounting is unchanged.
 pub const RESUME_SECTION: &str = "srres";
+
+/// FRAM base address of the resume section, just above the miss
+/// handler's window.
+pub const RESUME_BASE: u16 = 0xBC00;
 
 /// Symbol of checkpoint slot `i` (two slots, double-buffered).
 pub fn resume_slot_symbol(i: usize) -> String {

@@ -34,16 +34,14 @@ leaf:
     .endfunc
 ";
 
-fn setup() -> (swapram::Instrumented, SwapConfig) {
-    let cfg = SwapConfig::unified_fr2355();
+fn setup() -> swapram::Instrumented {
     let module = parse(SRC).unwrap();
-    let inst = instrument(&module, &cfg, &LayoutConfig::new(0x4000, 0x9000)).unwrap();
-    (inst, cfg)
+    instrument(&module, &SwapConfig::unified_fr2355(), &LayoutConfig::new(0x4000, 0x9000)).unwrap()
 }
 
 #[test]
 fn no_direct_calls_to_cacheable_functions_remain() {
-    let (inst, _) = setup();
+    let inst = setup();
     let cacheable: Vec<&str> = inst.funcs.iter().map(|f| f.name.as_str()).collect();
     for stmt in &inst.assembly.module.stmts {
         if let Item::Insn(insn) = &stmt.item {
@@ -59,13 +57,13 @@ fn no_direct_calls_to_cacheable_functions_remain() {
 
 #[test]
 fn every_cacheable_function_has_unique_tables() {
-    let (inst, cfg) = setup();
+    let inst = setup();
     assert_eq!(inst.funcs.len(), 3, "__start is excluded");
     let mut addrs: Vec<u16> = Vec::new();
     for f in &inst.funcs {
         addrs.push(f.redir_addr);
         addrs.push(f.act_addr);
-        assert!(f.redir_addr >= cfg.tables_base, "{}: metadata in the tables section", f.name);
+        assert!(f.redir_addr >= swapram::TABLES_BASE, "{}: metadata in the tables section", f.name);
         // Function sizes match the assembled spans.
         let span = inst.assembly.function(&f.name).unwrap();
         assert_eq!(f.fram_addr, span.start, "{}", f.name);
@@ -78,7 +76,7 @@ fn every_cacheable_function_has_unique_tables() {
 
 #[test]
 fn call_sites_write_the_callees_func_id() {
-    let (inst, _) = setup();
+    let inst = setup();
     // Each rewritten call site is preceded by `mov #id, &__sr_fid`; count
     // fid stores == indirect calls.
     let mut fid_stores = 0;
@@ -107,8 +105,8 @@ fn call_sites_write_the_callees_func_id() {
 
 #[test]
 fn instrumentation_is_deterministic() {
-    let (a, _) = setup();
-    let (b, _) = setup();
+    let a = setup();
+    let b = setup();
     assert_eq!(a.assembly.image, b.assembly.image, "same input, same binary");
     assert_eq!(a.funcs, b.funcs);
 }
@@ -119,7 +117,7 @@ fn blacklist_shrinks_metadata() {
     let module = parse(SRC).unwrap();
     let inst = instrument(&module, &cfg, &LayoutConfig::new(0x4000, 0x9000)).unwrap();
     assert_eq!(inst.funcs.len(), 2);
-    let (full, _) = setup();
+    let full = setup();
     assert!(inst.metadata_bytes < full.metadata_bytes);
     assert!(inst.call_sites < full.call_sites, "calls to leaf stay direct");
 }

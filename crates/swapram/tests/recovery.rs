@@ -357,7 +357,7 @@ fn checker_rejects_hand_corrupted_metadata() {
 
     // Cache function 0 by simulating its first call.
     bus.poke_word(rt.fid_addr(), 0);
-    rt.on_trap(&mut cpu, &mut bus, cfg.trap_addr).unwrap();
+    rt.on_trap(&mut cpu, &mut bus, swapram::TRAP_ADDR).unwrap();
     rt.check_invariants(&bus).expect("freshly cached state is consistent");
     let f = inst.funcs[0].clone();
     let place = rt.entries_snapshot()[0].1;
@@ -815,7 +815,7 @@ fn property_checker_accepts_all_reachable_states() {
                 _ => {
                     let fid = rng.below(u64::from(nfuncs)) as u16;
                     bus.poke_word(rt.fid_addr(), fid);
-                    rt.on_trap(&mut cpu, &mut bus, cfg.trap_addr).unwrap_or_else(|e| {
+                    rt.on_trap(&mut cpu, &mut bus, swapram::TRAP_ADDR).unwrap_or_else(|e| {
                         panic!("seed {seed} step {step}: miss on f{fid} rejected: {e}")
                     });
                 }
