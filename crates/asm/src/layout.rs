@@ -7,10 +7,11 @@
 //! code and can push other jumps out of range. Conditional jumps relax into
 //! the inverted-condition skip pattern of the paper's Figure 6.
 //!
-//! The relaxed module is returned to the caller: the SwapRAM static pass
-//! scans it for the absolute branches that need relocation entries
-//! (paper §3.3.1), exactly as the authors' scripts scan the intermediate
-//! binary.
+//! The relaxed module is returned to the caller together with its final
+//! layout (the converged round's, so encoding needs no further pass): the
+//! SwapRAM static pass scans it for the absolute branches that need
+//! relocation entries (paper §3.3.1), exactly as the authors' scripts scan
+//! the intermediate binary.
 
 use crate::ast::{ByteInit, Insn, Item, Module, Stmt};
 use crate::error::{AsmError, AsmResult};
@@ -247,12 +248,13 @@ fn invert(op: Opcode) -> Option<Opcode> {
 
 /// Relaxes out-of-range jumps into absolute branches (see module docs).
 ///
-/// Returns the relaxed module and the number of rewrites performed.
+/// Returns the relaxed module, its layout (the last round's, computed on
+/// the module as returned) and the number of rewrites performed.
 ///
 /// # Errors
 ///
 /// Propagates layout errors (undefined jump targets, etc.).
-pub fn relax(module: &Module, config: &LayoutConfig) -> AsmResult<(Module, usize)> {
+pub fn relax(module: &Module, config: &LayoutConfig) -> AsmResult<(Module, Layout, usize)> {
     let mut m = module.clone();
     let mut total_rewrites = 0usize;
     let mut fresh = 0usize;
@@ -275,7 +277,7 @@ pub fn relax(module: &Module, config: &LayoutConfig) -> AsmResult<(Module, usize
             }
         }
         if to_rewrite.is_empty() {
-            return Ok((m, total_rewrites));
+            return Ok((m, layout, total_rewrites));
         }
         total_rewrites += to_rewrite.len();
         // Rewrite back-to-front so indices stay valid.
@@ -393,7 +395,7 @@ mod tests {
     #[test]
     fn in_range_jump_not_relaxed() {
         let m = parse("loop:\n    dec r12\n    jnz loop\n").unwrap();
-        let (relaxed, n) = relax(&m, &cfg()).unwrap();
+        let (relaxed, _, n) = relax(&m, &cfg()).unwrap();
         assert_eq!(n, 0);
         assert_eq!(relaxed, m);
     }
@@ -402,20 +404,23 @@ mod tests {
     fn far_jmp_becomes_absolute_branch() {
         // A jmp across a 4 KiB hole is out of range.
         let m = parse("    jmp far\n    .space 0x1000\nfar:\n    ret\n").unwrap();
-        let (relaxed, n) = relax(&m, &cfg()).unwrap();
+        let (relaxed, layout, n) = relax(&m, &cfg()).unwrap();
         assert_eq!(n, 1);
         let has_br = relaxed.stmts.iter().any(|s| {
             matches!(&s.item, Item::Insn(i) if i.absolute_branch_target().is_some())
         });
         assert!(has_br, "expected a MOV #far, PC");
-        // And it must now lay out without range errors.
-        compute(&relaxed, &cfg()).unwrap();
+        // The returned layout is the relaxed module's own.
+        let fresh = compute(&relaxed, &cfg()).unwrap();
+        assert_eq!(layout.stmt_addrs, fresh.stmt_addrs);
+        assert_eq!(layout.symbols, fresh.symbols);
+        assert_eq!(layout.sections, fresh.sections);
     }
 
     #[test]
     fn far_conditional_uses_figure6_pattern() {
         let m = parse("    jz far\n    .space 0x1000\nfar:\n    ret\n").unwrap();
-        let (relaxed, n) = relax(&m, &cfg()).unwrap();
+        let (relaxed, _, n) = relax(&m, &cfg()).unwrap();
         assert_eq!(n, 1);
         // The inverted jump (jnz) skips the absolute branch.
         let has_inverted = relaxed
@@ -428,7 +433,7 @@ mod tests {
     #[test]
     fn far_jn_uses_trampoline() {
         let m = parse("    jn far\n    .space 0x1000\nfar:\n    ret\n").unwrap();
-        let (relaxed, _) = relax(&m, &cfg()).unwrap();
+        let (relaxed, layout, _) = relax(&m, &cfg()).unwrap();
         // JN survives, now pointing at a nearby trampoline.
         let jn_count = relaxed
             .stmts
@@ -436,7 +441,7 @@ mod tests {
             .filter(|s| matches!(&s.item, Item::Insn(Insn::Jump { op: Opcode::Jn, .. })))
             .count();
         assert_eq!(jn_count, 1);
-        compute(&relaxed, &cfg()).unwrap();
+        assert_eq!(layout.stmt_addrs, compute(&relaxed, &cfg()).unwrap().stmt_addrs);
     }
 
     #[test]

@@ -60,8 +60,7 @@ impl Assembly {
 /// Reports syntax-independent problems: undefined symbols, out-of-range
 /// values, overlapping sections, a missing entry symbol.
 pub fn assemble(module: &Module, config: &LayoutConfig) -> AsmResult<Assembly> {
-    let (relaxed, _) = layout::relax(module, config)?;
-    let l = layout::compute(&relaxed, config)?;
+    let (relaxed, l, _) = layout::relax(module, config)?;
     let entry = *l
         .symbols
         .get(&config.entry)

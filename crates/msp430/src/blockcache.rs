@@ -1,19 +1,23 @@
 //! Pre-decoded basic-block dispatch engine.
 //!
 //! [`BlockEngine`] caches [`crate::decode::Block`]s keyed by physical
-//! address and executes one instruction per [`BlockEngine::step`] call —
-//! the same granularity as the interpreter, so [`crate::machine::Machine`]
-//! keeps polling faults, sanitizer violations and the cycle budget at
-//! identical points — while eliminating the per-step fetch/decode work and
-//! dispatching precomputed cycle/category/accounting plans instead. When
-//! the machine proves nothing can observe instruction boundaries (no fault
-//! plan, profiler or timer), [`BlockEngine::step_batched`] executes whole
-//! straight-line runs per call with the run loop's checks replicated
-//! inline, eliminating the per-instruction dispatch overhead too.
+//! address and dispatches their precomputed cycle/category/accounting
+//! plans instead of fetching and decoding every step. It has two entry
+//! points:
 //!
-//! Both calls find their block the same way: the straight-line cursor
-//! left by the previous call, else the block starting at the PC, else a
-//! fresh build. Fetch accounting goes through three [`crate::mem::Bus`]
+//! * [`BlockEngine::step`] executes one instruction, the interpreter's
+//!   granularity. [`crate::machine::Machine::step`] uses it, and so does
+//!   the run loop while a profiler is attached or a latched interrupt
+//!   waits for delivery.
+//! * [`BlockEngine::step_batched`] is the run loop's normal path. It runs
+//!   to a deadline, the cycle of the run loop's next event (cycle budget,
+//!   next fault, next timer fire), chaining from block to block. The run
+//!   loop's checks are replicated inline, so the batch stops on exactly
+//!   the boundary where per-instruction stepping would act.
+//!
+//! Both find their block the same way: the straight-line cursor left by
+//! the previous call, else the block starting at the PC, else a fresh
+//! build. Fetch accounting goes through three [`crate::mem::Bus`]
 //! routines: `add_sram_ifetch` for SRAM text, `account_fram_ifetch` for
 //! the contiguous FRAM words of one instruction or one batched run, and
 //! `read_word` for the words the sanitizer must see one at a time.
@@ -30,7 +34,7 @@
 //! * Every store into a watched granule — CPU stores, host-side pokes,
 //!   image loads, injected bit flips, and the SRAM clear of a power cycle
 //!   — is recorded with its address range and bumps a generation counter.
-//! * At the top of every `step`, a changed generation triggers a drain:
+//! * Before every block lookup, a changed generation triggers a drain:
 //!   exactly the blocks whose `[start, end)` overlaps a recorded write are
 //!   dropped. An unchanged generation (the overwhelmingly common case) is
 //!   one integer compare.
@@ -157,19 +161,29 @@ impl BlockEngine {
         Ok(())
     }
 
-    /// Executes as many consecutive instructions of the current block as
-    /// [`crate::machine::Machine::run`]'s polling permits, then returns.
+    /// Executes instructions — chaining from each block into the next —
+    /// until [`crate::machine::Machine::run`]'s polling would act, then
+    /// returns.
     ///
-    /// Only called when no fault plan or profiler is attached, so nothing
-    /// outside the loop's own checks can observe instruction boundaries.
-    /// Those checks are replicated inline after every instruction — stack
-    /// floor, latched violation, halt port, code-write barrier, cycle
-    /// budget — and the batch stops at the first instruction after which
-    /// any of them would make the run loop act, leaving the machine in
-    /// exactly the state per-instruction stepping would have. The barrier
-    /// check additionally stops the batch when an instruction stores into
-    /// watched code, so a self-modified block never executes stale
-    /// successors (the next call drains it, same as [`BlockEngine::step`]).
+    /// The run loop passes the cycle of its next event as `deadline` (the
+    /// budget, the next fault, the next timer fire) and calls this only
+    /// when nothing else observes instruction boundaries: no profiler and
+    /// no latched, undelivered interrupt. The loop's remaining checks are
+    /// replicated inline after every instruction — stack floor, latched
+    /// violation, halt port, code-write barrier, `total_cycles ≥
+    /// deadline` — and the batch stops at the first instruction after
+    /// which any of them would make the run loop act, leaving the machine
+    /// in exactly the state per-instruction stepping would have. The
+    /// barrier check additionally stops the batch when an instruction
+    /// stores into watched code, so a self-modified block never executes
+    /// stale successors (the next call drains it, same as
+    /// [`BlockEngine::step`]).
+    ///
+    /// At the end of a block the batch continues with the block at the
+    /// new PC unless the PC entered the trap window (the run loop calls
+    /// the hook) or a `reti` executed (the run loop reports the interrupt
+    /// boundary). A PC with no buildable block takes one delegated
+    /// interpreter step and returns.
     ///
     /// # Errors
     ///
@@ -177,21 +191,43 @@ impl BlockEngine {
     /// the interpreter, with every fully-executed prior instruction's
     /// effects committed.
     #[inline]
-    pub fn step_batched(&mut self, cpu: &mut Cpu, bus: &mut Bus, max_cycles: u64) -> SimResult<()> {
-        let Some((slot, mut idx)) = self.locate(cpu, bus)? else { return Ok(()) };
+    pub fn step_batched(&mut self, cpu: &mut Cpu, bus: &mut Bus, deadline: u64) -> SimResult<()> {
+        loop {
+            let Some((slot, idx)) = self.locate(cpu, bus)? else { return Ok(()) };
+            if !self.run_block(cpu, bus, slot, idx, deadline)?
+                || bus.map().trap.contains(cpu.pc())
+                || bus.reti_pending()
+            {
+                return Ok(());
+            }
+        }
+    }
+
+    /// Runs block `slot` from instruction `idx` for
+    /// [`BlockEngine::step_batched`]. Returns `true` when the block ran to
+    /// its end with no poll tripped, `false` when the batch must stop.
+    #[inline]
+    fn run_block(
+        &mut self,
+        cpu: &mut Cpu,
+        bus: &mut Bus,
+        slot: u32,
+        mut idx: usize,
+        deadline: u64,
+    ) -> SimResult<bool> {
         let block = self.arena[slot as usize].as_ref().expect("validated slot");
-        // When the remaining cycle budget exceeds the block suffix's
-        // worst-case cost, no cycle check can fire before the block ends
-        // (the suffix bound only decreases, so once covered, always
-        // covered). A covered block then polls only what each instruction
-        // can actually trip: nothing for no-poll instructions (loads and
-        // pure ALU ops — see `DecodedInstr::poll`), and it executes
-        // precomputed runs of pure instructions from their static
-        // aggregate. Near the cycle limit every instruction gets the full
-        // poll set, so the batch stops on precisely the same boundary as
-        // the interpreter's run loop.
+        // When the cycles left before the deadline exceed the block
+        // suffix's worst-case cost, no cycle check can fire before the
+        // block ends (the suffix bound only decreases, so once covered,
+        // always covered). A covered block then polls only what each
+        // instruction can actually trip: nothing for no-poll instructions
+        // (loads and pure ALU ops — see `DecodedInstr::poll`), and it
+        // executes precomputed runs of pure instructions from their
+        // static aggregate. Near the deadline every instruction gets the
+        // full poll set, so the batch stops on precisely the same
+        // boundary as the interpreter's run loop.
         let covered =
-            bus.stats().total_cycles() + u64::from(block.instrs[idx].worst_suffix) < max_cycles;
+            bus.stats().total_cycles() + u64::from(block.instrs[idx].worst_suffix) < deadline;
         while idx < block.instrs.len() {
             let di = &block.instrs[idx];
             let rp = di.run;
@@ -216,29 +252,31 @@ impl BlockEngine {
                 continue;
             }
             let fell_through = exec_step(cpu, bus, block, idx)?;
-            if covered && !di.poll {
-                idx += 1;
-                continue;
-            }
-            bus.check_stack(cpu.sp());
-            if !fell_through
-                || bus.violation_pending()
-                || bus.ports().halt_code().is_some()
-                || bus.code_watch_gen() != self.seen_gen
-                || bus.stats().total_cycles() >= max_cycles
-            {
-                // After a barrier write the next call's drain drops the
-                // cursor again.
-                if fell_through {
-                    self.cursor = Some((slot, idx + 1));
+            if !covered || di.poll {
+                bus.check_stack(cpu.sp());
+                if bus.violation_pending()
+                    || bus.ports().halt_code().is_some()
+                    || bus.code_watch_gen() != self.seen_gen
+                    || bus.stats().total_cycles() >= deadline
+                {
+                    // After a barrier write the next call's drain drops
+                    // the cursor again.
+                    if fell_through {
+                        self.cursor = Some((slot, idx + 1));
+                    }
+                    return Ok(false);
                 }
-                return Ok(());
+            }
+            if !fell_through {
+                break;
             }
             idx += 1;
         }
         // Block exhausted: the last instruction was either a terminator or
-        // the decode horizon; resume by block lookup.
-        Ok(())
+        // the decode horizon, and no poll tripped (a covered block cannot
+        // reach the deadline, and its unpolled instructions cannot trip
+        // the rest).
+        Ok(true)
     }
 
     /// The one block lookup behind both step paths: syncs with the
@@ -248,8 +286,8 @@ impl BlockEngine {
     /// the caller to re-point. A PC with no buildable block executes that
     /// one instruction on the interpreter instead and yields `None`.
     ///
-    /// Forced inline: it runs once per stepped instruction, and as a call
-    /// it measurably slows the per-instruction path of fault episodes.
+    /// Forced inline: it runs once per single step and once per chained
+    /// block.
     ///
     /// # Errors
     ///

@@ -134,7 +134,8 @@ pub struct DecodedInstr {
     /// Whether the batched engine must run the full per-instruction poll
     /// set after executing this instruction (see [`needs_poll`]): false
     /// for instructions that provably cannot store, halt, move SP, or
-    /// latch a violation — those only need the cycle-budget check.
+    /// latch a violation — those only need the cycle-budget check. Always
+    /// true under [`Plan::Replay`], whose fetch the sanitizer checks.
     pub poll: bool,
     /// Batch aggregate of the maximal run of consecutive batchable
     /// instructions starting here (`len == 0` when this instruction is
@@ -223,8 +224,10 @@ fn writes_sp(instr: &Instr) -> bool {
 /// PUSH/CALL/RETI (implicit stack traffic). Such instructions — loads and
 /// pure ALU ops — can still stall on data-read misses, so the cycle-budget
 /// check remains; everything else is statically impossible: stores need a
-/// memory destination, the halt port and sanitizer store/ifetch checks
-/// only trigger on writes or fetches, and data reads are never checked.
+/// memory destination, the halt port and sanitizer store checks only
+/// trigger on writes, and data reads are never checked. A fetch the
+/// sanitizer still checks ([`Plan::Replay`]) polls regardless (see
+/// `decode_at`).
 fn needs_poll(instr: &Instr) -> bool {
     match *instr {
         Instr::FormatI { src, dst, .. } => {
@@ -365,7 +368,9 @@ fn decode_at(bus: &Bus, pc: u16) -> Option<DecodedInstr> {
         cycles: instr_cycles(&instr),
         plan,
         exec,
-        poll: needs_poll(&instr),
+        // A replayed fetch is checked by the sanitizer and may latch a
+        // violation whatever the instruction does.
+        poll: plan == Plan::Replay || needs_poll(&instr),
         run: RunPlan::default(),
         worst_suffix: 0,
         instr,

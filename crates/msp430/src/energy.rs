@@ -11,8 +11,8 @@
 //! Constants are set from MSP430FR2355-class datasheet ballparks and are
 //! deliberately conservative; the reproduction targets *relative* energy
 //! (SwapRAM vs baseline), which depends on the access mix rather than the
-//! absolute constants. All constants are public so experiments can perform
-//! sensitivity sweeps (see `experiments::ablation`).
+//! absolute constants. All constants are public fields, so a caller can
+//! build a model with its own values.
 
 use crate::freq::Frequency;
 use crate::trace::Stats;

@@ -122,6 +122,13 @@ impl FaultPlan {
         self.next
     }
 
+    /// The cycle of the next unfired event (`None` once the plan is
+    /// exhausted): the first boundary at which [`FaultPlan::take_due`]
+    /// can return an event.
+    pub fn next_due(&self) -> Option<u64> {
+        self.events.get(self.next).map(|e| e.cycle)
+    }
+
     /// Takes the next event due at or before `cycle`, advancing the
     /// cursor. Returns `None` when nothing is due.
     pub fn take_due(&mut self, cycle: u64) -> Option<FaultEvent> {
@@ -285,6 +292,22 @@ mod tests {
         assert_eq!(p.take_due(20), None, "second event not due yet");
         assert_eq!(p.take_due(50).unwrap().kind, FaultKind::PowerLoss);
         assert_eq!(p.remaining(), 0);
+    }
+
+    #[test]
+    fn next_due_tracks_the_cursor_until_exhausted() {
+        let mut p = FaultPlan::new(vec![
+            FaultEvent { cycle: 50, kind: FaultKind::PowerLoss },
+            FaultEvent { cycle: 10, kind: FaultKind::BitFlip { addr: 0x2000, bit: 3 } },
+        ]);
+        assert_eq!(p.next_due(), Some(10));
+        assert_eq!(p.take_due(9), None);
+        assert_eq!(p.next_due(), Some(10), "nothing fired, nothing moves");
+        p.take_due(10).unwrap();
+        assert_eq!(p.next_due(), Some(50));
+        p.take_due(1_000).unwrap();
+        assert_eq!(p.next_due(), None, "exhausted plan");
+        assert_eq!(FaultPlan::default().next_due(), None);
     }
 
     #[test]

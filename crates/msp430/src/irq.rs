@@ -92,6 +92,15 @@ impl IrqSchedule {
         self.period != 0
     }
 
+    /// The cycle of the next fire: the earlier of the next one-shot
+    /// event and the next periodic fire (`None` once a schedule with no
+    /// periodic component has run dry).
+    pub fn next_due(&self) -> Option<u64> {
+        let one_shot = self.events.get(self.next).copied();
+        let periodic = (self.period != 0).then_some(self.next_periodic);
+        one_shot.into_iter().chain(periodic).min()
+    }
+
     /// Advances past every fire at or before `cycle`, returning how many
     /// fires were reached. The caller (the bus pending latch) coalesces
     /// multiple fires into one pending interrupt.
@@ -139,6 +148,12 @@ impl IrqTimer {
     /// The fire schedule.
     pub fn schedule(&self) -> &IrqSchedule {
         &self.schedule
+    }
+
+    /// The cycle of the schedule's next fire (see
+    /// [`IrqSchedule::next_due`]).
+    pub fn next_due(&self) -> Option<u64> {
+        self.schedule.next_due()
     }
 
     /// Latches every fire due at `cycle`; returns how many fires were
@@ -198,6 +213,49 @@ mod tests {
         assert_eq!(s.take_due(199), 0);
         assert_eq!(s.take_due(200), 1);
         assert_eq!(s.take_due(10_000), 98);
+    }
+
+    #[test]
+    fn next_due_one_shot_runs_dry() {
+        let mut s = IrqSchedule::at(vec![30, 10]);
+        assert_eq!(s.next_due(), Some(10));
+        s.take_due(10);
+        assert_eq!(s.next_due(), Some(30));
+        s.take_due(30);
+        assert_eq!(s.next_due(), None, "exhausted one-shot schedule");
+    }
+
+    #[test]
+    fn next_due_periodic_advances_by_period() {
+        let mut s = IrqSchedule::periodic(100, 50);
+        assert_eq!(s.next_due(), Some(50));
+        s.take_due(49);
+        assert_eq!(s.next_due(), Some(50));
+        s.take_due(380);
+        assert_eq!(s.next_due(), Some(450), "50, 150, 250, 350 taken");
+    }
+
+    #[test]
+    fn next_due_burst_then_periodic_takes_the_earlier() {
+        let mut s = IrqSchedule::burst_then_periodic(vec![5, 300], 100, 200);
+        assert_eq!(s.next_due(), Some(5));
+        s.take_due(5);
+        assert_eq!(s.next_due(), Some(200), "periodic fire precedes the one-shot");
+        s.take_due(200);
+        assert_eq!(s.next_due(), Some(300), "the one-shot ties the next periodic fire");
+        s.take_due(300);
+        assert_eq!(s.next_due(), Some(400), "burst exhausted, the beat goes on");
+    }
+
+    #[test]
+    fn timer_next_due_after_latch() {
+        let mut t = IrqTimer::new(IrqSchedule::at(vec![10, 20]), 0x4400);
+        assert_eq!(t.next_due(), Some(10));
+        t.latch_due(15);
+        assert!(t.pending());
+        assert_eq!(t.next_due(), Some(20), "a latched fire is no longer due");
+        t.latch_due(20);
+        assert_eq!(t.next_due(), None);
     }
 
     #[test]

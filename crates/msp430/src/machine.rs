@@ -15,6 +15,7 @@ use crate::error::{SimError, SimResult};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::freq::Frequency;
 use crate::hwcache::HwCache;
+use crate::irq::IrqTimer;
 use crate::isa::Reg;
 use crate::mem::{Bus, Image, MemoryMap};
 use crate::profile::Profiler;
@@ -345,11 +346,12 @@ impl Machine {
         self.advance(None)
     }
 
-    /// [`Machine::step`], except that with `batch_limit` set the
-    /// pre-decoded engine may execute a whole straight-line run, stopping
-    /// where [`Machine::run`]'s polling against that cycle budget would
-    /// (see [`BlockEngine::step_batched`]).
-    fn advance(&mut self, batch_limit: Option<u64>) -> SimResult<Option<u16>> {
+    /// [`Machine::step`], except that with a `deadline` set the
+    /// pre-decoded engine may execute many instructions, stopping where
+    /// [`Machine::run`]'s polling would act — at the latest on the first
+    /// boundary with `total_cycles ≥ deadline` (see
+    /// [`BlockEngine::step_batched`]).
+    fn advance(&mut self, deadline: Option<u64>) -> SimResult<Option<u16>> {
         let pc = self.cpu.pc();
         if self.bus.map().trap.contains(pc) {
             let action = self
@@ -363,8 +365,8 @@ impl Machine {
             if let Some(p) = &mut self.profiler {
                 p.record(pc, self.bus.map().region_of(pc));
             }
-            match (&mut self.engine, batch_limit) {
-                (Some(e), Some(max)) => e.step_batched(&mut self.cpu, &mut self.bus, max)?,
+            match (&mut self.engine, deadline) {
+                (Some(e), Some(d)) => e.step_batched(&mut self.cpu, &mut self.bus, d)?,
                 (Some(e), None) => e.step(&mut self.cpu, &mut self.bus)?,
                 (None, _) => {
                     self.cpu.step(&mut self.bus)?;
@@ -380,18 +382,19 @@ impl Machine {
     ///
     /// Propagates simulation errors from [`Machine::step`].
     pub fn run(&mut self, max_cycles: u64) -> SimResult<RunOutcome> {
-        // Fault plans fire at exact instruction boundaries, profilers
-        // record every PC, and timer interrupts are accepted between
-        // instructions — so the pre-decoded engine may only batch
-        // straight-line runs when none is attached; the engine then
-        // replicates this loop's per-instruction checks inline (see
-        // [`BlockEngine::step_batched`]). Traps are serviced one at a
-        // time either way.
+        // Faults fire and timers latch only once `total_cycles` reaches
+        // their due cycle, so each pass runs the pre-decoded engine to the
+        // next event: `deadline` is the earliest of the cycle budget, the
+        // next fault and the next timer fire, and the engine stops on the
+        // first boundary at or past it — the boundary where stepping one
+        // instruction at a time would act. Only two cases step singly: a
+        // profiler records every PC, and a latched but undelivered
+        // interrupt waits on GIE and the trap window, which any
+        // instruction may change. Traps are serviced one per pass.
         let irq = self.bus.timer().is_some();
-        let batch = self.faults.is_none() && self.profiler.is_none() && !irq;
-        let batch_limit = batch.then_some(max_cycles);
         let exit = loop {
-            let stepped = self.advance(batch_limit);
+            let single = self.profiler.is_some() || self.bus.irq_pending();
+            let stepped = self.advance((!single).then(|| self.deadline(max_cycles)));
             // A latched sanitizer violation wins over whatever the wild
             // instruction did — including the bus fault it may have died
             // on — so misexecution surfaces as one typed exit.
@@ -418,6 +421,14 @@ impl Machine {
             }
         };
         Ok(self.outcome(exit))
+    }
+
+    /// The earliest cycle at which the run loop must act: the budget
+    /// `max_cycles`, the next fault, or the next timer fire.
+    fn deadline(&self, max_cycles: u64) -> u64 {
+        let fault = self.faults.as_ref().and_then(FaultPlan::next_due);
+        let timer = self.bus.timer().and_then(IrqTimer::next_due);
+        [fault, timer].into_iter().flatten().fold(max_cycles, u64::min)
     }
 
     /// Calls into the attached hook (`None` without one) in

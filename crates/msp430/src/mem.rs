@@ -502,6 +502,14 @@ impl Bus {
         self.reti_seen = true;
     }
 
+    /// Whether a `reti` executed since the run loop last took the flag,
+    /// without consuming it. Lets the batched engine stop on the boundary
+    /// where the run loop reports the interrupt return.
+    #[inline]
+    pub(crate) fn reti_pending(&self) -> bool {
+        self.reti_seen
+    }
+
     /// Takes the interrupt-return flag set by the last `reti`.
     #[inline]
     pub fn take_reti(&mut self) -> bool {

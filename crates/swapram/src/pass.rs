@@ -15,7 +15,7 @@
 //!    and emits the metadata tables (redirection words initialised to the
 //!    trap address, active counters) into a dedicated FRAM section.
 //!
-//! 2. The module is assembled once to fix layout (branch relaxation turns
+//! 2. The module is relaxed and laid out to fix addresses (relaxation turns
 //!    out-of-range jumps into absolute branches, and final function sizes
 //!    become known), then **pass 2** scans the relaxed module for absolute
 //!    branches *inside* cacheable functions and replaces each with an
@@ -38,7 +38,7 @@ use crate::tables::{
 use msp430_asm::ast::{AsmOperand, Insn, Item, Module, Stmt};
 use msp430_asm::error::{AsmError, AsmResult};
 use msp430_asm::expr::Expr;
-use msp430_asm::layout::LayoutConfig;
+use msp430_asm::layout::{relax, LayoutConfig};
 use msp430_asm::object::{assemble, Assembly};
 use msp430_asm::program;
 use msp430_sim::isa::{Opcode, Reg, Size};
@@ -307,11 +307,13 @@ pub fn instrument(
         instrumented.push(Item::Word(vec![Expr::num(0); 4]));
     }
 
-    // ---- Intermediate assembly: fix layout and materialise relaxation. ----
-    let intermediate = assemble(&instrumented, &layout)?;
+    // ---- Intermediate layout: materialise relaxation and fix addresses
+    // (nothing is encoded until the final assembly). ----
+    let (mut relaxed, intermediate, _) = relax(&instrumented, &layout)?;
+    let function_of = |name: &str| intermediate.functions.iter().find(|f| f.name == name);
+    let symbol_of = |name: &str| intermediate.symbols.get(name).map(|&v| v as u16);
 
     // ---- Pass 2: relocify absolute branches inside cacheable functions. ----
-    let mut relaxed = intermediate.module.clone();
     let spans = program::functions_of(&relaxed);
     let mut reloc_stmts: Vec<Stmt> = Vec::new();
     let mut relocs_by_func: BTreeMap<String, Vec<(usize, u16, u16)>> = BTreeMap::new();
@@ -320,8 +322,7 @@ pub fn instrument(
         if !ids.contains_key(&span.name) {
             continue;
         }
-        let fspan = intermediate
-            .function(&span.name)
+        let fspan = function_of(&span.name)
             .ok_or_else(|| AsmError::global(format!("missing span for `{}`", span.name)))?
             .clone();
         for i in span.body.clone() {
@@ -332,7 +333,7 @@ pub fn instrument(
                         // and computed branches are not absolute branches.
                         let v = match e.as_literal() {
                             Some(v) => v,
-                            None => match e.as_symbol().and_then(|s| intermediate.symbol(s)) {
+                            None => match e.as_symbol().and_then(symbol_of) {
                                 Some(a) => i64::from(a),
                                 None => continue,
                             },
@@ -390,7 +391,7 @@ pub fn instrument(
     // Layout stability check: pass 2 replacements are size-neutral, so
     // function addresses must not have moved.
     for span in &spans {
-        if let (Some(a), Some(b)) = (intermediate.function(&span.name), assembly.function(&span.name)) {
+        if let (Some(a), Some(b)) = (function_of(&span.name), assembly.function(&span.name)) {
             if a.start != b.start || a.end != b.end {
                 return Err(AsmError::global(format!(
                     "internal error: function `{}` moved between passes",
