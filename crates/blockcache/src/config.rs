@@ -1,5 +1,7 @@
 //! Block-cache configuration.
 
+use msp430_sim::mem::MemoryMap;
+
 /// Configuration for the basic-block cache baseline: where its SRAM
 /// cache lies.
 ///
@@ -20,17 +22,14 @@ pub struct BlockConfig {
 impl BlockConfig {
     /// The paper's configuration on the FR2355.
     pub fn unified_fr2355() -> BlockConfig {
-        BlockConfig {
-            cache_base: 0x2000,
-            cache_size: 0x1000,
-        }
+        BlockConfig::split_fr2355(0)
     }
 
     /// Split-SRAM configuration (§5.5): low `data_bytes` of SRAM for data,
     /// remainder for the block cache.
     pub fn split_fr2355(data_bytes: u16) -> BlockConfig {
-        let base = 0x2000 + data_bytes;
-        BlockConfig { cache_base: base, cache_size: 0x3000 - base }
+        let (_, cache) = MemoryMap::fr2355().split_sram(data_bytes);
+        BlockConfig { cache_base: cache.start, cache_size: cache.len() as u16 }
     }
 }
 

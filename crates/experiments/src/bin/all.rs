@@ -7,9 +7,13 @@
 //! - `SWAPRAM_JOBS=<n>`: worker-thread count (default: available cores).
 //! - `--json <path>`: where to write the JSON report (default
 //!   `BENCH_experiments.json` in the current directory).
+//!
+//! Exits 1 when the JSON report cannot be written or any run failed or
+//! gave wrong output (see [`experiments::campaign::is_failure`]).
 use std::time::Instant;
 
-use experiments::harness;
+use experiments::campaign::is_failure;
+use experiments::harness::{self, run_record_json};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -47,4 +51,15 @@ fn main() {
         h.run_misses(),
         h.run_hits(),
     );
+    let failed: Vec<String> = h
+        .records()
+        .into_iter()
+        .filter(|(r, tags)| run_record_json(r, tags).get("result").is_some_and(is_failure))
+        .map(|(r, _)| format!("{} {} {} {} MHz", r.bench.name(), r.system, r.profile, r.freq_mhz))
+        .collect();
+    if !failed.is_empty() {
+        let n = failed.len();
+        eprintln!("experiments: {n} run(s) failed or gave wrong output: {}", failed.join("; "));
+        std::process::exit(1);
+    }
 }

@@ -23,8 +23,11 @@
 //! - `SWAPRAM_JOBS`: worker threads (default: all cores; rejected with a
 //!   clear error when 0 or malformed).
 //!
-//! Exit codes: 0 complete, 1 I/O failure, 2 usage/environment error
-//! (including unknown flags and flags missing their value).
+//! Exit codes: 0 complete, 1 I/O failure or any failed cell (`failed`,
+//! or `ok` with wrong output; see [`campaign::is_failure`]), 2
+//! usage/environment error (including unknown flags and flags missing
+//! their value). `--summary` only re-renders, and exits 0 whatever the
+//! cells say.
 
 use experiments::campaign::{self, CampaignSpec};
 use experiments::{harness, json, resilience};
@@ -108,9 +111,14 @@ fn main() {
     }
     print!("{}", campaign::render(&doc));
     harness::finish("campaign", &h);
-    let cells = doc.get("cells").and_then(json::Json::as_arr).map_or(0, <[_]>::len);
-    write_exec_sidecar(json_path, &h, cells, t0);
-    eprintln!("campaign: {cells} cells; JSON -> {}", json_path.display());
+    let cells = doc.get("cells").and_then(json::Json::as_arr).unwrap_or_default();
+    write_exec_sidecar(json_path, &h, cells.len(), t0);
+    eprintln!("campaign: {} cells; JSON -> {}", cells.len(), json_path.display());
+    let failed = cells.iter().filter(|c| campaign::is_failure(c)).count();
+    if failed > 0 {
+        eprintln!("campaign: {failed} cell(s) failed or gave wrong output");
+        std::process::exit(1);
+    }
 }
 
 /// Writes the non-deterministic execution stats next to the campaign

@@ -152,16 +152,11 @@ impl Cell {
 
     /// The SwapRAM configuration this cell runs.
     pub fn config(&self) -> SwapConfig {
-        let base = SwapConfig::unified_fr2355();
-        let cache_base = 0x2000 + self.split;
-        let mut cfg = SwapConfig {
-            cache_base,
-            cache_size: self.cache_size,
-            ..base
-        }
-        .with_policy(self.policy)
-        .with_guards(self.guards)
-        .with_recovery(self.recovery);
+        let split = SwapConfig::split_fr2355(self.split);
+        let mut cfg = SwapConfig { cache_size: self.cache_size, ..split }
+            .with_policy(self.policy)
+            .with_guards(self.guards)
+            .with_recovery(self.recovery);
         if let Some(protocol) = self.isr.protocol() {
             cfg = cfg.with_irq_harness(true).with_isr_protocol(protocol);
         }
@@ -285,7 +280,7 @@ impl CampaignSpec {
         let mut out = Vec::new();
         for &bench in &self.benches {
             for &split in &self.splits {
-                let avail = 0x1000 - split;
+                let avail = SwapConfig::split_fr2355(split).cache_size;
                 for &cache_size in &self.cache_sizes {
                     if cache_size > avail {
                         continue;
@@ -367,7 +362,7 @@ pub fn run_cell(h: &Harness, cell: &Cell) -> Json {
     let mut fields = identity_fields(cell);
     match cell.fault_seed {
         None => {
-            fields.push(("status", Json::str("ok")));
+            fields.push(("status", Json::str(if clean.correct { "ok" } else { "failed" })));
             fields.push(("correct", Json::Bool(clean.correct)));
             fields.push(("base_cycles", opt_u64(base_cycles)));
             fields.push(("clean_cycles", Json::U64(clean_cycles)));
@@ -587,21 +582,21 @@ fn is_ok(row: &Json) -> bool {
         && row.get("correct").and_then(Json::as_bool) == Some(true)
 }
 
+/// Whether a report row — a campaign cell, or the `result` of a harness
+/// run record — is a failure: anything but `dnf` or `ok` with the oracle's
+/// output, so `failed` and `ok` with `correct: false` alike.
+pub fn is_failure(row: &Json) -> bool {
+    !is_ok(row) && row.get("status").and_then(Json::as_str) != Some("dnf")
+}
+
 /// Computes the deterministic summary section: status counts, per-axis
 /// p50/p90/p99 of miss-cycle overhead (fault-free cells, vs. the baseline
 /// system at the same profile and clock) and useful-cycles-per-boot
 /// (faulted cells), and the two pareto frontiers.
 pub fn summary_json(rows: &[Json]) -> Json {
-    let mut ok = 0u64;
-    let mut dnf = 0u64;
-    let mut failed = 0u64;
-    for r in rows {
-        match r.get("status").and_then(Json::as_str) {
-            Some("ok") if is_ok(r) => ok += 1,
-            Some("dnf") => dnf += 1,
-            _ => failed += 1,
-        }
-    }
+    let ok = rows.iter().filter(|r| is_ok(r)).count() as u64;
+    let failed = rows.iter().filter(|r| is_failure(r)).count() as u64;
+    let dnf = rows.len() as u64 - ok - failed;
 
     // Per-axis percentile groups.
     let mut axes = Vec::new();
@@ -1012,5 +1007,28 @@ mod tests {
         let front = s.get("pareto").unwrap().get("overhead_vs_progress").and_then(Json::as_arr).unwrap();
         assert_eq!(front.len(), 1);
         assert_eq!(front[0].get("on_front"), Some(&Json::Bool(true)));
+    }
+
+    #[test]
+    fn wrong_output_is_a_failure_whatever_its_status() {
+        let rows: Vec<Json> = [
+            (r#"{"status":"ok","correct":true}"#, false),
+            (r#"{"status":"ok","correct":false}"#, true),
+            (r#"{"status":"ok"}"#, true),
+            (r#"{"status":"failed","correct":false}"#, true),
+            (r#"{"status":"failed","message":"exit SanitizerTrap"}"#, true),
+            (r#"{"status":"dnf","message":"does not fit"}"#, false),
+        ]
+        .iter()
+        .map(|(text, failure)| {
+            let row = json::parse(text).unwrap();
+            assert_eq!(is_failure(&row), *failure, "{text}");
+            row
+        })
+        .collect();
+        let counts = summary_json(&rows).get("counts").cloned().unwrap();
+        assert_eq!(counts.get("ok").and_then(Json::as_u64), Some(1));
+        assert_eq!(counts.get("dnf").and_then(Json::as_u64), Some(1));
+        assert_eq!(counts.get("failed").and_then(Json::as_u64), Some(4));
     }
 }

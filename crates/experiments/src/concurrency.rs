@@ -24,18 +24,18 @@
 //! identical seeds yield byte-identical JSON regardless of
 //! `SWAPRAM_JOBS`.
 
-use crate::episode::{clean_cycles, draw_flip, swap_section, with_build, Episode, Outcome};
+use crate::episode::{clean_cycles, draw_flip, with_build, Episode, Outcome};
 use crate::harness::Harness;
 use crate::json::Json;
 use crate::report::Table;
 use crate::resilience::{name_tag, protocol_name, recovery_name};
 use mibench::builder::{Built, System};
+use mibench::layout::Role;
 use mibench::Benchmark;
 use msp430_sim::fault::{FaultEvent, FaultKind, FaultPlan};
 use msp430_sim::freq::Frequency;
 use msp430_sim::irq::IrqSchedule;
 use msp430_sim::rng::SplitMix64;
-use swapram::tables::TABLES_SECTION;
 use swapram::{IsrProtocol, RecoveryMode, SwapConfig};
 
 /// Seeded interrupt schedules per benchmark/protocol/recovery cell in the
@@ -242,7 +242,8 @@ fn episode(
     }
     if bit_flip {
         let cycle = win_lo + rng.below(win_hi - win_lo);
-        let (addr, bit) = draw_flip(&mut rng, swap_section(built, TABLES_SECTION));
+        let tables = built.layout.get(Role::Tables).expect("SwapRAM builds have metadata tables");
+        let (addr, bit) = draw_flip(&mut rng, tables);
         faults.push(FaultEvent { cycle, kind: FaultKind::BitFlip { addr, bit } });
     }
     let run = Episode {

@@ -33,12 +33,13 @@
 //! byte-identical JSON (the report's `corruption` section) regardless of
 //! `SWAPRAM_JOBS`.
 
-use crate::episode::{clean_cycles, draw_flip, swap_section, with_build, End, Episode};
+use crate::episode::{clean_cycles, draw_flip, with_build, End, Episode};
 use crate::harness::Harness;
 use crate::json::Json;
 use crate::report::Table;
 use crate::resilience::name_tag;
 use mibench::builder::{Built, System};
+use mibench::layout::Role;
 use mibench::Benchmark;
 use msp430_sim::fault::{FaultEvent, FaultKind, FaultPlan};
 use msp430_sim::freq::Frequency;
@@ -143,23 +144,22 @@ pub(crate) fn flip_seed(base: u64, bench: Benchmark, region: FlipRegion, i: usiz
     x.next_u64().wrapping_add(tag).wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// Byte range of a flip region for a SwapRAM build.
-fn region_range(built: &Built, cfg: &SwapConfig, region: FlipRegion) -> AddrRange {
+/// Byte range of a flip region, from the SwapRAM build's layout.
+fn region_range(built: &Built, region: FlipRegion) -> AddrRange {
+    let layout = &built.layout;
     match region {
-        FlipRegion::Metadata => swap_section(built, swapram::tables::TABLES_SECTION),
-        FlipRegion::CachedCode => {
-            AddrRange::new(cfg.cache_base, u32::from(cfg.cache_base) + u32::from(cfg.cache_size))
-        }
-        FlipRegion::AppData => swap_section(built, "data"),
+        FlipRegion::Metadata => layout.get(Role::Tables),
+        FlipRegion::CachedCode => layout.get(Role::Cache),
+        FlipRegion::AppData => layout.section("data"),
     }
+    .expect("a SwapRAM build lays out its tables, cache and data")
 }
 
 /// Runs the campaign: every MiBench benchmark × every region × `flips`
 /// seeded episodes, fanned out on the harness worker pool, and registers
 /// the deterministic row set as the report's `corruption` section.
 pub fn run(h: &Harness, flips: usize, base_seed: u64) -> Vec<CorruptionRow> {
-    let cfg = SwapConfig::unified_fr2355();
-    let system = System::SwapRam(cfg.clone());
+    let system = System::SwapRam(SwapConfig::unified_fr2355());
     let mut items: Vec<(Benchmark, FlipRegion, u64, u64)> = Vec::new();
     for bench in Benchmark::MIBENCH {
         let clean_cycles = clean_cycles(h, "corruption", bench, &system);
@@ -171,7 +171,7 @@ pub fn run(h: &Harness, flips: usize, base_seed: u64) -> Vec<CorruptionRow> {
         }
     }
     let rows = h.parallel_map(items, |(bench, region, seed, clean_cycles)| {
-        with_build(h, bench, &system, |built| episode(built, &cfg, bench, region, seed, clean_cycles))
+        with_build(h, bench, &system, |built| episode(built, bench, region, seed, clean_cycles))
     });
     h.add_section("corruption", rows_json(&rows));
     rows
@@ -180,14 +180,13 @@ pub fn run(h: &Harness, flips: usize, base_seed: u64) -> Vec<CorruptionRow> {
 /// Executes one benchmark under one seeded bit flip and classifies it.
 fn episode(
     built: &Built,
-    cfg: &SwapConfig,
     bench: Benchmark,
     region: FlipRegion,
     seed: u64,
     clean_cycles: u64,
 ) -> CorruptionRow {
     let mut rng = SplitMix64::new(seed);
-    let (addr, bit) = draw_flip(&mut rng, region_range(built, cfg, region));
+    let (addr, bit) = draw_flip(&mut rng, region_range(built, region));
     // Strike inside the middle 80% of the uninterrupted run, where cache
     // state is live.
     let win_lo = (clean_cycles / 10).max(1);

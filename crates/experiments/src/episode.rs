@@ -20,7 +20,7 @@
 use crate::harness::Harness;
 use crate::measure::{MeasureError, SEED};
 use mibench::builder::{
-    poke_inputs, sanitizer_for, section_range, swap_runtime, Built, MemoryProfile, Program, System,
+    poke_inputs, sanitizer_for, swap_runtime, Built, MemoryProfile, Program, System,
 };
 use mibench::{input_for, Benchmark};
 use msp430_sim::fault::FaultPlan;
@@ -29,7 +29,7 @@ use msp430_sim::irq::{IrqSchedule, IrqTimer};
 use msp430_sim::machine::{ExitReason, Fr2355, Machine};
 use msp430_sim::mem::AddrRange;
 use msp430_sim::rng::SplitMix64;
-use swapram::{RecoveryMode, SwapRuntime, SwapStats, RESUME_BASE, TABLES_BASE};
+use swapram::{RecoveryMode, SwapRuntime, SwapStats};
 
 /// How an episode ended, most severe classification first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -183,7 +183,7 @@ impl Episode<'_> {
             panic!("fault episodes run SwapRAM builds");
         };
         let input = input_for(built.bench, SEED);
-        let sanitizer = if self.sanitize { sanitizer_for(built) } else { None };
+        let sanitizer = self.sanitize.then(|| sanitizer_for(built));
 
         let mut machine = Fr2355::machine(self.freq);
         machine.load(built.image());
@@ -260,14 +260,13 @@ impl Episode<'_> {
 }
 
 /// Restores application state on reboot: every image segment except the
-/// `srtab` metadata tables and the `srres` resume area, then the input
-/// and corpus buffers. The metadata stays exactly as the power loss tore
-/// it (that is what recovery must repair), and the resume area keeps its
-/// committed checkpoint frames and watchdog words, which must survive
-/// every reboot.
+/// regions the build's layout marks as surviving a reboot, then the input
+/// and corpus buffers. The metadata tables stay exactly as the power loss
+/// tore them (that is what recovery must repair), and the resume area
+/// keeps its committed checkpoint frames and watchdog words.
 fn restore_app_state(machine: &mut Machine, built: &Built, input: &[u8]) {
     for seg in &built.image().segments {
-        if seg.addr == TABLES_BASE || seg.addr == RESUME_BASE {
+        if built.layout.survives_reboot(seg.addr) {
             continue;
         }
         for (i, b) in seg.bytes.iter().enumerate() {
@@ -306,20 +305,6 @@ pub(crate) fn clean_cycles(h: &Harness, tag: &'static str, bench: Benchmark, sys
 /// Runs `f` on the memoized unified-memory build of a campaign cell.
 pub(crate) fn with_build<R>(h: &Harness, bench: Benchmark, system: &System, f: impl FnOnce(&Built) -> R) -> R {
     f(h.build(bench, system, &MemoryProfile::unified()).as_ref().as_ref().expect("SwapRAM build fits"))
-}
-
-/// Range of a SwapRAM build's non-empty section `name` — the `srtab`
-/// metadata tables are the campaigns' bit-flip target.
-///
-/// # Panics
-///
-/// Panics unless the build is a SwapRAM build with such a section.
-pub fn swap_section(built: &Built, name: &str) -> AddrRange {
-    let Program::Swap(inst, _) = &built.program else {
-        panic!("fault episodes run SwapRAM builds");
-    };
-    section_range(&inst.assembly, name)
-        .unwrap_or_else(|| panic!("build lacks a non-empty `{name}` section"))
 }
 
 /// Draws a bit-flip target uniformly from `range`: the byte address,

@@ -34,18 +34,18 @@
 //! `SWAPRAM_JOBS`.
 
 use crate::concurrency::system_for;
-use crate::episode::{clean_cycles, draw_flip, swap_section, with_build, Episode, Outcome};
+use crate::episode::{clean_cycles, draw_flip, with_build, Episode, Outcome};
 use crate::harness::Harness;
 use crate::json::Json;
 use crate::report::Table;
 use crate::resilience::{name_tag, recovery_name};
 use mibench::builder::Built;
+use mibench::layout::Role;
 use mibench::Benchmark;
 use msp430_sim::fault::{EnergyShape, EnergyTrace, FaultEvent, FaultKind, FaultPlan, RECORDED_PROFILE};
 use msp430_sim::freq::Frequency;
 use msp430_sim::irq::IrqSchedule;
 use msp430_sim::rng::SplitMix64;
-use swapram::tables::TABLES_SECTION;
 use swapram::{IsrProtocol, RecoveryMode};
 
 /// The recovery protocols the campaign compares.
@@ -290,7 +290,8 @@ fn episode(
     let mut faults = plan.events().to_vec();
     if bit_flip {
         let cycle = 1 + rng.below(horizon.min(clean_cycles.max(2)));
-        let (addr, bit) = draw_flip(&mut rng, swap_section(built, TABLES_SECTION));
+        let tables = built.layout.get(Role::Tables).expect("SwapRAM builds have metadata tables");
+        let (addr, bit) = draw_flip(&mut rng, tables);
         faults.push(FaultEvent { cycle, kind: FaultKind::BitFlip { addr, bit } });
     }
     let run = Episode {

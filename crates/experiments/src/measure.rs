@@ -162,10 +162,7 @@ pub fn measure(
     profile: &MemoryProfile,
     freq: Frequency,
 ) -> Result<Measurement, MeasureError> {
-    let built = build(bench, system, profile).map_err(|e| match e {
-        BuildError::DoesNotFit(m) => MeasureError::DoesNotFit(m),
-        BuildError::Asm(m) => MeasureError::Failed(m.to_string()),
-    })?;
+    let built = build(bench, system, profile).map_err(|e| MeasureError::from(&e))?;
     measure_built(&built, system.label(), freq)
 }
 

@@ -5,7 +5,10 @@
 
 use experiments::campaign::{self, CampaignSpec};
 use experiments::json::{self, Json};
+use experiments::measure::{measure, MeasureError};
 use experiments::{resilience, Harness};
+use mibench::System;
+use msp430_sim::freq::Frequency;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -172,4 +175,26 @@ fn exec_sidecar_carries_the_nondeterministic_stats() {
         "{}",
         stderr_of(&run)
     );
+}
+
+/// Every (benchmark, split) point of the full spec either does not fit or
+/// runs its baseline to the oracle checksum: a layout whose stack runs
+/// into its data must be a DNF, never a wrong row.
+#[test]
+fn full_spec_baselines_fit_or_run_correctly() {
+    let mut points: Vec<_> = CampaignSpec::full(resilience::DEFAULT_FAULT_SEED)
+        .cells()
+        .into_iter()
+        .map(|cell| (cell.bench, cell.split, cell.profile()))
+        .collect();
+    points.dedup_by_key(|(bench, split, _)| (*bench, *split));
+    assert_eq!(points.len(), 18, "nine benchmarks at two splits");
+    for (bench, split, profile) in points {
+        let what = format!("{} split={split:#x}", bench.name());
+        match measure(bench, &System::Baseline, &profile, Frequency::MHZ_24) {
+            Ok(m) => assert!(m.correct, "{what}: wrong checksum"),
+            Err(MeasureError::DoesNotFit(_)) => {}
+            Err(e) => panic!("{what}: {e}"),
+        }
+    }
 }

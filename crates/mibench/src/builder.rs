@@ -8,8 +8,10 @@
 //!
 //! Memory placement is a [`MemoryProfile`]: the unified-memory FRAM layout
 //! of the paper's main evaluation, the split-SRAM layout of §5.5, and the
-//! four Figure-1 placements.
+//! four Figure-1 placements. Every build carries its checked [`Layout`].
 
+pub use crate::layout::MemoryProfile;
+use crate::layout::{Layout, Role};
 use crate::suite::Benchmark;
 use blockcache::{bbpass, BlockConfig, BlockProgram, BlockRuntime, BlockStats};
 use msp430_asm::error::{AsmError, AsmResult};
@@ -19,74 +21,9 @@ use msp430_asm::parser::parse;
 use msp430_sim::freq::Frequency;
 use msp430_sim::irq::{IrqSchedule, IrqTimer};
 use msp430_sim::machine::{Fr2355, Machine, RunOutcome};
-use msp430_sim::mem::{AddrRange, Image, MemoryMap};
+use msp430_sim::mem::Image;
 use msp430_sim::sanitize::SanitizerConfig;
 use swapram::{Instrumented, SwapConfig, SwapRuntime, SwapStats};
-
-/// Section placement for a build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemoryProfile {
-    /// Human-readable name (used in experiment tables).
-    pub name: &'static str,
-    /// Base of the code section.
-    pub text_base: u16,
-    /// Base of the data section.
-    pub data_base: u16,
-    /// Initial stack pointer.
-    pub stack_top: u16,
-}
-
-impl MemoryProfile {
-    /// Unified-memory model (paper §2.2/§5.4): code, data and stack all in
-    /// FRAM; the whole SRAM is free for software caching.
-    pub fn unified() -> MemoryProfile {
-        MemoryProfile { name: "unified", text_base: 0x4000, data_base: 0x7000, stack_top: 0x9FFC }
-    }
-
-    /// The "standard" configuration: code in FRAM, data + stack in SRAM
-    /// (the baseline of Figure 10; also the code-FRAM/data-SRAM point of
-    /// Figure 1).
-    pub fn code_fram_data_sram() -> MemoryProfile {
-        MemoryProfile {
-            name: "code FRAM / data SRAM",
-            text_base: 0x4000,
-            data_base: 0x2000,
-            stack_top: 0x2FFC,
-        }
-    }
-
-    /// Figure 1: code in SRAM, data in FRAM.
-    pub fn code_sram_data_fram() -> MemoryProfile {
-        MemoryProfile {
-            name: "code SRAM / data FRAM",
-            text_base: 0x2000,
-            data_base: 0x7000,
-            stack_top: 0x9FFC,
-        }
-    }
-
-    /// Figure 1: everything in SRAM (only feasible for small programs).
-    pub fn all_sram() -> MemoryProfile {
-        MemoryProfile {
-            name: "code+data SRAM",
-            text_base: 0x2000,
-            data_base: 0x2800,
-            stack_top: 0x2FFC,
-        }
-    }
-
-    /// Split-SRAM model (paper §5.5): program data and stack occupy the
-    /// low `reserved` bytes of SRAM; code stays in FRAM and the remaining
-    /// SRAM becomes the software cache.
-    pub fn split_sram(reserved: u16) -> MemoryProfile {
-        MemoryProfile {
-            name: "split SRAM",
-            text_base: 0x4000,
-            data_base: 0x2000,
-            stack_top: 0x2000 + reserved - 4,
-        }
-    }
-}
 
 /// Which system manages instruction supply.
 #[derive(Debug, Clone, PartialEq)]
@@ -121,6 +58,17 @@ pub enum Program {
     Block(Box<BlockProgram>, BlockConfig),
 }
 
+impl Program {
+    /// The assembled program.
+    pub fn assembly(&self) -> &Assembly {
+        match self {
+            Program::Base(a) => a,
+            Program::Swap(i, _) => &i.assembly,
+            Program::Block(p, _) => &p.assembly,
+        }
+    }
+}
+
 /// Timer-interrupt wiring a build requests: the ISR vector resolved from
 /// the assembled image and a default periodic tick. [`prepare`] arms a
 /// timer with these values; experiment drivers may re-attach a custom
@@ -142,8 +90,9 @@ pub struct Built {
     pub bench: Benchmark,
     /// The program and its system.
     pub program: Program,
-    /// Memory profile used.
-    pub profile: MemoryProfile,
+    /// Where every region of the build lies, as its memory profile placed
+    /// it (checked).
+    pub layout: Layout,
     /// Address of the input buffer.
     pub input_addr: u16,
     /// Address of the shared-corpus buffer, when the benchmark uses one
@@ -174,11 +123,7 @@ const _: () = {
 impl Built {
     /// The loadable image.
     pub fn image(&self) -> &Image {
-        match &self.program {
-            Program::Base(a) => &a.image,
-            Program::Swap(i, _) => &i.assembly.image,
-            Program::Block(p, _) => &p.assembly.image,
-        }
+        &self.program.assembly().image
     }
 
     /// Total NVM usage: transformed application + runtime + metadata
@@ -280,28 +225,6 @@ pub fn parse_benchmark_with(
     parse(&src)
 }
 
-fn layout_for(profile: &MemoryProfile) -> LayoutConfig {
-    LayoutConfig::new(profile.text_base, profile.data_base)
-}
-
-/// Checks that every emitted section lies inside a mapped memory region.
-fn check_fit(assembly: &Assembly) -> Result<(), BuildError> {
-    let map = MemoryMap::fr2355();
-    for (name, base, size) in &assembly.sections {
-        if *size == 0 {
-            continue;
-        }
-        let end = u32::from(*base) + u32::from(*size);
-        let inside = |r: AddrRange| *base >= r.start && end <= r.end;
-        if !inside(map.sram) && !inside(map.fram) {
-            return Err(BuildError::DoesNotFit(format!(
-                "section `{name}` [{base:#06x}, {end:#07x}) exceeds its memory region"
-            )));
-        }
-    }
-    Ok(())
-}
-
 /// Builds `bench` for `system` under `profile`.
 ///
 /// # Errors
@@ -316,12 +239,9 @@ pub fn build(
     let irq_harness =
         matches!(system, System::SwapRam(cfg) if cfg.irq_harness) && !bench.is_multitask();
     let module = parse_benchmark_with(bench, profile, irq_harness).map_err(BuildError::Asm)?;
-    let layout = layout_for(profile);
-    let (program, metadata_bytes, handler_bytes, assembly_ref) = match system {
-        System::Baseline => {
-            let a = assemble(&module, &layout)?;
-            (Program::Base(a.clone()), 0, 0, a)
-        }
+    let placement = LayoutConfig::new(profile.text_base, profile.data_base);
+    let (program, metadata_bytes, handler_bytes) = match system {
+        System::Baseline => (Program::Base(assemble(&module, &placement)?), 0, 0),
         System::SwapRam(cfg) => {
             // The ISR entry must stay at a stable address (it is the
             // interrupt vector): harness builds register it as an ISR
@@ -337,24 +257,24 @@ pub fn build(
             if bench.is_multitask() {
                 cfg = cfg.with_blacklisted("__isr_entry");
             }
-            let inst = swapram::pass::instrument(&module, &cfg, &layout)?;
+            let inst = swapram::pass::instrument(&module, &cfg, &placement)?;
             let (m, h) = (inst.metadata_bytes, inst.handler_bytes);
-            let a = inst.assembly.clone();
-            (Program::Swap(Box::new(inst), cfg), m, h, a)
+            (Program::Swap(Box::new(inst), cfg), m, h)
         }
         System::BlockCache(cfg) => {
-            let p = bbpass::transform(&module, &layout)?;
+            let p = bbpass::transform(&module, &placement)?;
             let (m, h) = (p.metadata_bytes, p.handler_bytes);
-            let a = p.assembly.clone();
-            (Program::Block(Box::new(p), cfg.clone()), m, h, a)
+            (Program::Block(Box::new(p), cfg.clone()), m, h)
         }
     };
-    check_fit(&assembly_ref)?;
-    let input_addr = assembly_ref
+    let layout = Layout::new(&program, profile);
+    layout.check()?;
+    let assembly = program.assembly();
+    let input_addr = assembly
         .symbol("__input")
         .ok_or_else(|| BuildError::Asm(AsmError::global("benchmark lacks `__input`")))?;
     let irq = if irq_harness || bench.is_multitask() {
-        let vector = assembly_ref
+        let vector = assembly
             .symbol("__isr_entry")
             .ok_or_else(|| BuildError::Asm(AsmError::global("ISR build lacks `__isr_entry`")))?;
         let default_period = if bench.is_multitask() { 7919 } else { 9973 };
@@ -364,12 +284,12 @@ pub fn build(
     };
     Ok(Built {
         bench,
+        corpus_addr: assembly.symbol("__corpus"),
+        text_bytes: assembly.section_size("text"),
+        data_bytes: assembly.section_size("data"),
         program,
-        profile: *profile,
+        layout,
         input_addr,
-        corpus_addr: assembly_ref.symbol("__corpus"),
-        text_bytes: assembly_ref.section_size("text"),
-        data_bytes: assembly_ref.section_size("data"),
         metadata_bytes,
         handler_bytes,
         irq,
@@ -482,86 +402,52 @@ pub type SwapHandle = std::rc::Rc<std::cell::RefCell<SwapStats>>;
 /// Shared handle to the block-cache runtime's counters.
 pub type BlockHandle = std::rc::Rc<std::cell::RefCell<BlockStats>>;
 
-/// Range of a named non-empty section.
-pub fn section_range(assembly: &Assembly, name: &str) -> Option<AddrRange> {
-    assembly
-        .sections
-        .iter()
-        .find(|(n, _, size)| n == name && *size > 0)
-        .map(|(_, base, size)| AddrRange::new(*base, u32::from(*base) + u32::from(*size)))
-}
-
-/// Floor for the stack pointer: the end of the data section. In every
-/// memory profile the stack grows down from `stack_top` toward the data
-/// section, so dropping below it means the stack is eating program state
-/// (and, in split-SRAM profiles, heading for the cache window).
-fn stack_floor(assembly: &Assembly, profile: &MemoryProfile) -> Option<u16> {
-    let end = section_range(assembly, "data")
-        .map_or(u32::from(profile.data_base), |r| r.end)
-        .min(0xFFFF) as u16;
-    (profile.stack_top > end).then_some(end)
-}
-
 /// Builds the execution-sanitizer watchpoint configuration for a built
-/// benchmark: instruction fetch is confined to the transformed text
-/// section plus the SRAM cache window (with fill tracking on the window),
-/// application stores may not touch code, metadata tables or the cache
-/// window except through the instrumentation-planted metadata words
+/// benchmark from its [`Layout`]: instruction fetch is confined to the
+/// text section plus the SRAM cache window (with fill tracking on the
+/// window), application stores may not touch code, metadata tables or the
+/// cache window except through the instrumentation-planted metadata words
 /// (`__sr_fid` + active counters for SwapRAM, `__bb_cur` for the block
-/// cache), and the stack pointer must stay above the data section.
-///
-/// Returns `None` for the baseline: nothing moves code or metadata at
-/// runtime, so there is nothing to watch.
-pub fn sanitizer_for(built: &Built) -> Option<SanitizerConfig> {
-    let (assembly, cache, tables, store_allow) = match &built.program {
-        Program::Base(_) => return None,
-        Program::Swap(inst, cfg) => {
-            let cache = AddrRange::new(
-                cfg.cache_base,
-                u32::from(cfg.cache_base) + u32::from(cfg.cache_size),
-            );
+/// cache), and the stack pointer must stay above the stack's floor. A
+/// baseline has no cache or tables: its text and stack floor are watched.
+pub fn sanitizer_for(built: &Built) -> SanitizerConfig {
+    let layout = &built.layout;
+    let text = layout.section("text");
+    let cache = layout.get(Role::Cache);
+    let store_allow = match &built.program {
+        Program::Base(_) => Vec::new(),
+        Program::Swap(inst, _) => {
             let mut allow = vec![inst.fid_addr];
             allow.extend(inst.funcs.iter().map(|f| f.act_addr));
             // Masked-protocol ISR veneers save/restore the funcId word
             // through per-root slots in the metadata tables.
             allow.extend(inst.isr_slots.iter().map(|(_, addr)| *addr));
-            let tables = section_range(&inst.assembly, swapram::tables::TABLES_SECTION);
-            (&inst.assembly, cache, tables, allow)
+            allow
         }
-        Program::Block(prog, cfg) => {
-            let cache = AddrRange::new(
-                cfg.cache_base,
-                u32::from(cfg.cache_base) + u32::from(cfg.cache_size),
-            );
-            let tables = section_range(&prog.assembly, bbpass::TABLES_SECTION);
-            (&prog.assembly, cache, tables, vec![prog.cur_addr])
-        }
+        Program::Block(prog, _) => vec![prog.cur_addr],
     };
-    let text = section_range(assembly, "text");
     // Multi-task benchmarks park task 1's stack inside the data section
     // (a statically allocated stack + context frame), so the single-stack
     // floor does not apply to them.
     let stack_limit = if built.bench.is_multitask() {
         None
     } else {
-        stack_floor(assembly, &built.profile)
+        layout.get(Role::Stack).map(|stack| stack.start)
     };
-    Some(SanitizerConfig {
-        exec: text.iter().copied().chain([cache]).collect(),
-        tracked: Some(cache),
-        protected: text.iter().copied().chain(tables).chain([cache]).collect(),
+    SanitizerConfig {
+        exec: text.into_iter().chain(cache).collect(),
+        tracked: cache,
+        protected: text.into_iter().chain(layout.get(Role::Tables)).chain(cache).collect(),
         store_allow,
         stack_limit,
-    })
+    }
 }
 
 fn attach(
     machine: &mut Machine,
     built: &Built,
 ) -> msp430_sim::SimResult<(Option<SwapHandle>, Option<BlockHandle>)> {
-    if let Some(cfg) = sanitizer_for(built) {
-        machine.bus_mut().attach_sanitizer(cfg);
-    }
+    machine.bus_mut().attach_sanitizer(sanitizer_for(built));
     match &built.program {
         Program::Base(_) => Ok((None, None)),
         Program::Swap(inst, cfg) => {
@@ -602,15 +488,7 @@ mod tests {
 
     #[test]
     fn fixed_runtime_layout_fits_every_profile() {
-        let map = MemoryMap::fr2355();
-        for trap in [swapram::TRAP_ADDR, blockcache::TRAP_ADDR] {
-            assert!(
-                map.trap.contains(trap),
-                "trap {trap:#06x} outside the trap window"
-            );
-        }
-        let handler_windows = [swapram::HANDLER_CODE_BASE, blockcache::HANDLER_CODE_BASE]
-            .map(|base| (u32::from(base), u32::from(base) + 0x400));
+        assert_eq!(MemoryProfile::unified().stack_top + 4, swapram::STACK_TOP);
         let fixed = |profile| {
             (
                 profile,
@@ -625,7 +503,7 @@ mod tests {
                 BlockConfig::split_fr2355(n),
             )
         };
-        let profiles = [
+        let plans = [
             fixed(MemoryProfile::unified()),
             fixed(MemoryProfile::code_fram_data_sram()),
             fixed(MemoryProfile::code_sram_data_fram()),
@@ -637,55 +515,37 @@ mod tests {
             .into_iter()
             .chain(Benchmark::MULTITASK)
             .chain([Benchmark::Arith]);
-        let mut built = 0;
+        let mut fit = 0;
         for bench in benches {
-            for (profile, swap, block) in &profiles {
+            for (profile, swap, block) in &plans {
                 for system in [
                     System::Baseline,
                     System::SwapRam(swap.clone()),
                     System::BlockCache(block.clone()),
                 ] {
-                    let Ok(b) = build(bench, &system, profile) else {
-                        continue;
-                    };
-                    built += 1;
-                    let assembly = match &b.program {
-                        Program::Base(a) => a,
-                        Program::Swap(i, _) => &i.assembly,
-                        Program::Block(p, _) => &p.assembly,
-                    };
-                    let mut spans: Vec<(u32, u32)> = assembly
-                        .sections
-                        .iter()
-                        .filter(|(_, _, size)| *size > 0)
-                        .map(|(_, base, size)| {
-                            (u32::from(*base), u32::from(*base) + u32::from(*size))
-                        })
-                        .collect();
-                    spans.sort_unstable();
-                    let what = format!(
-                        "{}/{}/{:#06x}",
-                        bench.name(),
-                        system.label(),
-                        profile.stack_top
-                    );
-                    for w in spans.windows(2) {
-                        assert!(w[0].1 <= w[1].0, "{what}: sections {w:?} overlap");
-                    }
-                    for (lo, hi) in handler_windows {
-                        for &(start, end) in &spans {
-                            assert!(
-                                end <= lo || start >= hi,
-                                "{what}: [{start:#x}, {end:#x}) in a handler window"
-                            );
+                    let what =
+                        format!("{}/{}/{:#06x}", bench.name(), system.label(), profile.stack_top);
+                    match build(bench, &system, profile) {
+                        Ok(b) => {
+                            b.layout.check().unwrap_or_else(|e| panic!("{what}: {e}"));
+                            fit += 1;
                         }
+                        Err(BuildError::DoesNotFit(_)) => {}
+                        // The multi-task benchmarks run only under SwapRAM.
+                        Err(e) => assert!(
+                            bench.is_multitask() && !matches!(system, System::SwapRam(_)),
+                            "{what}: {e}"
+                        ),
                     }
                 }
             }
         }
-        // 216 builds minus the DNF cells and the SwapRAM-only multitask
-        // benchmarks under baseline and block.
-        assert_eq!(built, 177);
+        // 216 plans minus the multi-task benchmarks under baseline and
+        // block, the unified cache over the data or text of the three SRAM
+        // profiles, every system on stringsearch (data past the stack top
+        // at both splits) and lzfx (data past SRAM), and commscompress's
+        // data past its stack top at the 1 KiB split.
+        assert_eq!(fit, 110);
     }
 
     #[test]
@@ -719,7 +579,14 @@ mod tests {
     fn sanitizer_watchpoints_cover_cache_and_metadata() {
         let profile = MemoryProfile::unified();
         let base = build(Benchmark::Crc, &System::Baseline, &profile).unwrap();
-        assert!(sanitizer_for(&base).is_none(), "baseline has nothing to watch");
+        let text = base.layout.section("text").unwrap();
+        let stack = base.layout.get(Role::Stack).unwrap();
+        let cfg = sanitizer_for(&base);
+        assert_eq!(cfg.exec, vec![text], "a baseline executes its text only");
+        assert_eq!(cfg.protected, vec![text]);
+        assert!(cfg.tracked.is_none() && cfg.store_allow.is_empty());
+        assert_eq!(cfg.stack_limit, Some(stack.start));
+        assert_eq!(stack.start, base.layout.section("data").unwrap().end as u16);
 
         let swap = build(
             Benchmark::Crc,
@@ -727,7 +594,7 @@ mod tests {
             &profile,
         )
         .unwrap();
-        let cfg = sanitizer_for(&swap).expect("SwapRAM runs are sanitized");
+        let cfg = sanitizer_for(&swap);
         let Program::Swap(inst, scfg) = &swap.program else { unreachable!() };
         assert!(cfg.exec.iter().any(|r| r.contains(profile.text_base)));
         assert!(cfg.exec.iter().any(|r| r.contains(scfg.cache_base)));
@@ -749,7 +616,7 @@ mod tests {
             &profile,
         )
         .unwrap();
-        let bcfg = sanitizer_for(&blk).expect("block-cache runs are sanitized");
+        let bcfg = sanitizer_for(&blk);
         let Program::Block(prog, _) = &blk.program else { unreachable!() };
         assert!(bcfg.protected.iter().any(|r| r.contains(prog.cur_addr)));
         assert_eq!(bcfg.store_allow, vec![prog.cur_addr]);

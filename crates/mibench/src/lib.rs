@@ -25,6 +25,7 @@
 
 pub mod builder;
 pub mod corpus;
+pub mod layout;
 pub mod oracle;
 pub mod suite;
 

@@ -55,6 +55,14 @@ impl AddrRange {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Whether the two ranges share an address (empty ranges share none).
+    pub fn overlaps(&self, other: &AddrRange) -> bool {
+        !self.is_empty()
+            && !other.is_empty()
+            && u32::from(self.start) < other.end
+            && u32::from(other.start) < self.end
+    }
 }
 
 /// The memory region an address belongs to.
@@ -95,6 +103,17 @@ impl MemoryMap {
             mmio: AddrRange::new(0x0100, 0x0200),
             trap: AddrRange::new(0x0F00, 0x1000),
         }
+    }
+
+    /// Splits SRAM `reserved` bytes above its start (paper §5.5): the low
+    /// part holds program data and stack, the rest is the code cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `reserved` exceeds the SRAM.
+    pub fn split_sram(&self, reserved: u16) -> (AddrRange, AddrRange) {
+        let cut = u32::from(self.sram.start) + u32::from(reserved);
+        (AddrRange::new(self.sram.start, cut), AddrRange::new(cut as u16, self.sram.end))
     }
 
     /// The region containing `addr`.
@@ -177,7 +196,7 @@ impl Image {
 /// Bytes of handler code a software runtime's modeled fetches walk (see
 /// [`Bus::replay_handler_fetches`]): about the size of the paper's miss
 /// handlers (§5.2: 972–1844 B).
-const HANDLER_WINDOW: u16 = 0x400;
+pub const HANDLER_WINDOW: u16 = 0x400;
 
 /// Granule size (as a shift) of the code write barrier: the address space
 /// is divided into 64-byte granules, each counting how many cached decoded
@@ -1073,6 +1092,18 @@ mod tests {
         assert_eq!(m.region_of(0x0F00), Region::Trap);
         assert_eq!(m.region_of(0x0000), Region::Unmapped);
         assert_eq!(m.region_of(0xC000), Region::Unmapped);
+    }
+
+    #[test]
+    fn sram_split_and_overlap() {
+        let m = MemoryMap::fr2355();
+        let (data, cache) = m.split_sram(0x400);
+        assert_eq!((data, cache), (AddrRange::new(0x2000, 0x2400), AddrRange::new(0x2400, 0x3000)));
+        assert!(!data.overlaps(&cache), "adjacent ranges are disjoint");
+        assert!(data.overlaps(&AddrRange::new(0x23FE, 0x2402)));
+        let (none, all) = m.split_sram(0);
+        assert!(none.is_empty() && all == m.sram);
+        assert!(!none.overlaps(&m.sram), "an empty range overlaps nothing");
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! SwapRAM configuration: cache region, replacement policy, blacklist.
 
+use msp430_sim::mem::MemoryMap;
 use std::collections::BTreeSet;
 
 /// Replacement / placement policy for the software cache (paper §3.4 and
@@ -86,8 +87,8 @@ pub enum IsrProtocol {
 
 /// Configuration for the static pass and runtime. The FR2355 layout both
 /// share is fixed, not configured: [`crate::TRAP_ADDR`],
-/// [`crate::TABLES_BASE`], [`crate::HANDLER_CODE_BASE`] and
-/// [`crate::RESUME_BASE`].
+/// [`crate::TABLES_BASE`], [`crate::HANDLER_CODE_BASE`],
+/// [`crate::RESUME_BASE`] and [`crate::STACK_TOP`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SwapConfig {
     /// First SRAM address of the function cache.
@@ -121,10 +122,6 @@ pub struct SwapConfig {
     /// ISR workload module and enable interrupts around `main` (see
     /// `mibench`'s builder). Off for the plain single-threaded figures.
     pub irq_harness: bool,
-    /// Exclusive top of the application stack (the address the entry
-    /// stub loads into SP, rounded up to a word): the checkpoint saves
-    /// `[SP, stack_top)`.
-    pub stack_top: u16,
     /// Minimum cycles between committed checkpoints: call-boundary
     /// checkpoint opportunities within this window are skipped so commit
     /// cost stays a bounded fraction of execution.
@@ -140,9 +137,16 @@ impl SwapConfig {
     /// SRAM is the code cache (unified-memory mode — program data lives in
     /// FRAM).
     pub fn unified_fr2355() -> SwapConfig {
+        SwapConfig::split_fr2355(0)
+    }
+
+    /// Split-SRAM configuration (paper §5.5): the low `data_bytes` of SRAM
+    /// hold program data and the rest is the code cache.
+    pub fn split_fr2355(data_bytes: u16) -> SwapConfig {
+        let (_, cache) = MemoryMap::fr2355().split_sram(data_bytes);
         SwapConfig {
-            cache_base: 0x2000,
-            cache_size: 0x1000,
+            cache_base: cache.start,
+            cache_size: cache.len() as u16,
             policy: PolicyKind::CircularQueue,
             blacklist: BTreeSet::new(),
             recovery: RecoveryMode::FullScan,
@@ -151,20 +155,8 @@ impl SwapConfig {
             isr_protocol: IsrProtocol::Masked,
             isr_roots: BTreeSet::new(),
             irq_harness: false,
-            stack_top: 0xA000,
             checkpoint_interval: 2_000,
             watchdog_boots: 4,
-        }
-    }
-
-    /// Split-SRAM configuration (paper §5.5): the low `data_bytes` of SRAM
-    /// hold program data and the rest is the code cache.
-    pub fn split_fr2355(data_bytes: u16) -> SwapConfig {
-        let base = 0x2000 + data_bytes;
-        SwapConfig {
-            cache_base: base,
-            cache_size: 0x3000 - base,
-            ..SwapConfig::unified_fr2355()
         }
     }
 

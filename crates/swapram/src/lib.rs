@@ -71,7 +71,7 @@ pub use cost::{CostModel, COST};
 pub use pass::{Instrumented, Journal, ResumeArea, SwapFunc, SwapReloc};
 pub use runtime::{RecoveryOutcome, SwapRuntime, HANDLER_CODE_BASE};
 pub use stats::SwapStats;
-pub use tables::{RESUME_BASE, TABLES_BASE, TRAP_ADDR};
+pub use tables::{RESUME_BASE, STACK_TOP, TABLES_BASE, TRAP_ADDR};
 
 use msp430_asm::ast::Module;
 use msp430_asm::error::AsmResult;

@@ -17,7 +17,7 @@ use crate::cost::COST;
 use crate::guards::{crc16, guard_value, plausible_act};
 use crate::pass::{Instrumented, Journal, ResumeArea, SwapFunc};
 use crate::stats::SwapStats;
-use crate::tables::TRAP_ADDR;
+use crate::tables::{STACK_TOP, TRAP_ADDR};
 use msp430_sim::cpu::{Cpu, FLAG_GIE};
 use msp430_sim::error::{SimError, SimResult};
 use msp430_sim::isa::Reg;
@@ -329,7 +329,7 @@ impl SwapRuntime {
             }
         }
         let sp = cpu.sp();
-        let top = self.cfg.stack_top;
+        let top = STACK_TOP;
         let skip = self.task_table.is_some()
             || sp == 0
             || sp & 1 != 0
@@ -419,7 +419,7 @@ impl SwapRuntime {
     /// a torn commit the caller rolls back.
     fn read_slot(&mut self, bus: &mut Bus, ra: ResumeArea, slot: usize) -> SimResult<Option<Vec<u16>>> {
         let len = bus.read_word(ra.word_addr(slot, ResumeArea::LEN_OFS), AccessKind::Read)?;
-        if len & 1 != 0 || len > ResumeArea::STACK_BYTES || len >= self.cfg.stack_top {
+        if len & 1 != 0 || len > ResumeArea::STACK_BYTES || len >= STACK_TOP {
             return Ok(None);
         }
         let n = ResumeArea::ACT_OFS - ResumeArea::LEN_OFS + ra.nfuncs + len / 2;
@@ -516,7 +516,7 @@ impl SwapRuntime {
             let v = payload.get(acts_start + i).copied().unwrap_or(0);
             bus.write_word(f.act_addr, v)?;
         }
-        let sp = self.cfg.stack_top - len;
+        let sp = STACK_TOP - len;
         let stack_start = acts_start + usize::from(ra.nfuncs);
         for i in 0..len / 2 {
             bus.write_word(sp + 2 * i, payload[stack_start + usize::from(i)])?;

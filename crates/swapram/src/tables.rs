@@ -57,6 +57,11 @@ pub const RESUME_SECTION: &str = "srres";
 /// handler's window.
 pub const RESUME_BASE: u16 = 0xBC00;
 
+/// Exclusive top of the application stack (the address the entry stub
+/// loads into SP, rounded up to a word): a persistent-stack checkpoint
+/// saves `[SP, STACK_TOP)`.
+pub const STACK_TOP: u16 = 0xA000;
+
 /// Symbol of checkpoint slot `i` (two slots, double-buffered).
 pub fn resume_slot_symbol(i: usize) -> String {
     format!("__sr_resume{i}")
