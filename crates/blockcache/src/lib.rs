@@ -17,7 +17,8 @@
 //!
 //! [`BlockConfig`] is only the SRAM cache region. The rest is fixed: the
 //! trap [`TRAP_ADDR`], the metadata at [`TABLES_BASE`], the runtime's
-//! FRAM code window at [`HANDLER_CODE_BASE`] and its charges in [`COST`].
+//! FRAM code window at [`HANDLER_CODE_BASE`] and the price of each runtime
+//! [`Step`].
 //!
 //! Conditional CFIs use the paper's Figure-6 transformation (the MSP430's
 //! ±511/512-word conditional range cannot span the SRAM): an inverted
@@ -62,4 +63,4 @@ pub mod runtime;
 
 pub use bbpass::{BlockProgram, ExitKind, TABLES_BASE, TRAP_ADDR};
 pub use config::BlockConfig;
-pub use runtime::{BlockCost, BlockRuntime, BlockStats, COST, HANDLER_CODE_BASE};
+pub use runtime::{BlockRuntime, BlockStats, Step, HANDLER_CODE_BASE};

@@ -20,51 +20,52 @@ pub const HANDLER_CODE_BASE: u16 = 0xBC00;
 /// slots.
 const SLOT_BYTES: u16 = 16;
 
-/// Per-operation instruction/cycle charges for the block-cache runtime;
-/// the values in use are [`COST`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BlockCost {
+/// One priced step of the block-cache runtime. A step whose price scales
+/// carries its own count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
     /// Trap entry: register save, `__bb_cur` load, jump-table index.
-    pub entry_instrs: u64,
-    /// Cycles for trap entry.
-    pub entry_cycles: u64,
-    /// Per hash probe (djb2 is shift/add only, §4).
-    pub probe_instrs: u64,
-    /// Cycles per hash probe.
-    pub probe_cycles: u64,
+    Entry,
+    /// One hash probe (djb2 is shift/add only, §4).
+    Probe,
     /// Chaining an exit word.
-    pub chain_instrs: u64,
-    /// Cycles for chaining.
-    pub chain_cycles: u64,
-    /// Per word copied into a cache slot.
-    pub copy_word_instrs: u64,
-    /// Cycles per copied word.
-    pub copy_word_cycles: u64,
-    /// Per exit word reset during a flush.
-    pub flush_exit_instrs: u64,
-    /// Cycles per flushed exit word.
-    pub flush_exit_cycles: u64,
+    Chain,
+    /// Words copied into a cache slot.
+    CopyWord {
+        /// Words copied.
+        words: u64,
+    },
+    /// A flush, charged per exit word it resets *and* per hash slot it
+    /// clears.
+    Flush {
+        /// Exit words plus hash slots.
+        words: u64,
+    },
     /// Trap exit: restore registers, branch.
-    pub exit_instrs: u64,
-    /// Cycles for trap exit.
-    pub exit_cycles: u64,
+    Exit,
 }
 
-/// The charges the block-cache runtime applies.
-pub const COST: BlockCost = BlockCost {
-    entry_instrs: 8,
-    entry_cycles: 20,
-    probe_instrs: 5,
-    probe_cycles: 11,
-    chain_instrs: 3,
-    chain_cycles: 8,
-    copy_word_instrs: 3,
-    copy_word_cycles: 6,
-    flush_exit_instrs: 2,
-    flush_exit_cycles: 5,
-    exit_instrs: 4,
-    exit_cycles: 10,
-};
+impl Step {
+    /// The step's `(instructions, cycles)`.
+    pub const fn cost(self) -> (u64, u64) {
+        match self {
+            Step::Entry => (8, 20),
+            Step::Probe => (5, 11),
+            Step::Chain => (3, 8),
+            Step::CopyWord { words } => (3 * words, 6 * words),
+            Step::Flush { words } => (2 * words, 5 * words),
+            Step::Exit => (4, 10),
+        }
+    }
+
+    /// The Figure-8 series the step's instructions count toward.
+    pub fn category(self) -> Category {
+        match self {
+            Step::CopyWord { .. } => Category::Memcpy,
+            _ => Category::MissHandler,
+        }
+    }
+}
 
 /// Counters the block-cache runtime maintains.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -168,8 +169,11 @@ impl BlockRuntime {
         Rc::clone(&self.stats)
     }
 
-    fn charge(&mut self, bus: &mut Bus, cat: Category, instrs: u64, cycles: u64) -> SimResult<()> {
-        bus.stats_mut().charge_modeled(cat, instrs, cycles);
+    /// Charges one runtime step at its price: Figure-8 attribution plus a
+    /// replay of its instruction fetches against the FRAM code window.
+    fn charge(&mut self, bus: &mut Bus, step: Step) -> SimResult<()> {
+        let (instrs, cycles) = step.cost();
+        bus.stats_mut().charge_modeled(step.category(), instrs, cycles);
         bus.replay_handler_fetches(HANDLER_CODE_BASE, &mut self.fetch_cursor, instrs)
     }
 
@@ -188,7 +192,7 @@ impl BlockRuntime {
         for _ in 0..self.hash_capacity {
             let slot_addr = self.hash_base + 4 * slot;
             let tag = bus.read_word(slot_addr, AccessKind::Read)?;
-            self.charge(bus, Category::MissHandler, COST.probe_instrs, COST.probe_cycles)?;
+            self.charge(bus, Step::Probe)?;
             if tag == 0 {
                 return Ok(Probe::Empty(slot));
             }
@@ -211,12 +215,7 @@ impl BlockRuntime {
         for slot in 0..self.hash_capacity {
             bus.write_word(self.hash_base + 4 * slot, 0)?;
         }
-        self.charge(
-            bus,
-            Category::MissHandler,
-            COST.flush_exit_instrs * (n + u64::from(self.hash_capacity)),
-            COST.flush_exit_cycles * (n + u64::from(self.hash_capacity)),
-        )?;
+        self.charge(bus, Step::Flush { words: n + u64::from(self.hash_capacity) })?;
         self.cached.clear();
         self.next_free = self.cfg.cache_base;
         self.stats.borrow_mut().flushes += 1;
@@ -232,7 +231,7 @@ impl Hook for BlockRuntime {
             )));
         }
         self.stats.borrow_mut().traps += 1;
-        self.charge(bus, Category::MissHandler, COST.entry_instrs, COST.entry_cycles)?;
+        self.charge(bus, Step::Entry)?;
         let k = bus.read_word(self.cur_addr, AccessKind::Read)?;
         let (word_addr, static_target) = *self
             .exits
@@ -253,7 +252,7 @@ impl Hook for BlockRuntime {
 
         let exit = |rt: &mut BlockRuntime, cpu: &mut Cpu, bus: &mut Bus, to: u16| {
             cpu.set_pc(to);
-            rt.charge(bus, Category::MissHandler, COST.exit_instrs, COST.exit_cycles)?;
+            rt.charge(bus, Step::Exit)?;
             Ok(TrapAction::Resume)
         };
 
@@ -262,7 +261,7 @@ impl Hook for BlockRuntime {
             Probe::Found(cached) => {
                 if static_target.is_some() {
                     bus.write_word(word_addr, cached)?;
-                    self.charge(bus, Category::MissHandler, COST.chain_instrs, COST.chain_cycles)?;
+                    self.charge(bus, Step::Chain)?;
                     self.stats.borrow_mut().chains += 1;
                 }
                 return exit(self, cpu, bus, cached);
@@ -297,12 +296,7 @@ impl Hook for BlockRuntime {
             let w = bus.read_word(target + 2 * i, AccessKind::Read)?;
             bus.write_word(place + 2 * i, w)?;
         }
-        self.charge(
-            bus,
-            Category::Memcpy,
-            COST.copy_word_instrs * u64::from(size / 2),
-            COST.copy_word_cycles * u64::from(size / 2),
-        )?;
+        self.charge(bus, Step::CopyWord { words: u64::from(size / 2) })?;
         self.next_free = place + need;
 
         // Insert into the FRAM hash table (tag + value writes). A full
@@ -318,7 +312,7 @@ impl Hook for BlockRuntime {
         // Chain the triggering exit when static.
         if static_target.is_some() {
             bus.write_word(word_addr, place)?;
-            self.charge(bus, Category::MissHandler, COST.chain_instrs, COST.chain_cycles)?;
+            self.charge(bus, Step::Chain)?;
             self.stats.borrow_mut().chains += 1;
         }
         let mut stats = self.stats.borrow_mut();
@@ -409,6 +403,24 @@ step_zero:
         assert!(out.success());
         assert_eq!(out.checksum.0, expected());
         assert!(stats.borrow().flushes > 0, "64-byte cache must flush");
+    }
+
+    #[test]
+    fn every_step_takes_at_least_a_cycle_per_instruction() {
+        for n in [0, 1, 64] {
+            let steps = [
+                Step::Entry,
+                Step::Probe,
+                Step::Chain,
+                Step::CopyWord { words: n },
+                Step::Flush { words: n },
+                Step::Exit,
+            ];
+            for step in steps {
+                let (instrs, cycles) = step.cost();
+                assert!(cycles >= instrs, "{step:?}: {instrs} instructions in {cycles} cycles");
+            }
+        }
     }
 
     #[test]

@@ -9,20 +9,34 @@
 //!   `BENCH_experiments.json` in the current directory).
 //!
 //! Exits 1 when the JSON report cannot be written or any run failed or
-//! gave wrong output (see [`experiments::campaign::is_failure`]).
+//! gave wrong output (see [`experiments::campaign::is_failure`]), and 2
+//! with the usage line, before any simulation, on an unknown argument or
+//! a `--json` without a value.
 use std::time::Instant;
 
 use experiments::campaign::is_failure;
 use experiments::harness::{self, run_record_json};
 
+fn usage(msg: &str) -> ! {
+    eprintln!("experiments: {msg}");
+    eprintln!("usage: all [--fast] [--json PATH]");
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_experiments.json".to_string());
+    let mut fast = false;
+    let mut json_path = "BENCH_experiments.json".to_string();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--fast" => fast = true,
+            "--json" => match args.next() {
+                Some(v) if !v.starts_with("--") => json_path = v,
+                _ => usage("--json needs a value"),
+            },
+            _ => usage(&format!("unknown argument {arg:?}")),
+        }
+    }
 
     let h = harness::announce("experiments", if fast { "fast mode" } else { "" });
     let started = Instant::now();

@@ -1,7 +1,8 @@
 //! Acceptance tests for the campaign engine (workspace test tier): the
-//! `BENCH_campaign.json` document must be byte-identical across
-//! {1, 4, 16} worker threads, and the library sweep must produce exactly
-//! the bytes the binary writes.
+//! `BENCH_campaign.json` document must be byte-identical across worker
+//! thread counts (the tiny spec on {1, 4, 16}, the fast spec at seed
+//! 51966 on {1, 4}), and the library sweep must produce exactly the
+//! bytes the binary writes.
 
 use experiments::campaign::{self, CampaignSpec};
 use experiments::json::{self, Json};
@@ -39,14 +40,30 @@ impl Drop for Scratch {
 /// Runs the campaign binary on the tiny spec with an explicit thread count
 /// plus any extra flags, writing `<run>.json` in the scratch directory.
 fn campaign(scratch: &Scratch, run: &str, jobs: usize, extra: &[&str]) -> Output {
+    sweep(scratch, run, "tiny", None, jobs, extra)
+}
+
+/// Runs the campaign binary on `spec` at the fault seed `seed` (the
+/// default when `None`) with an explicit thread count plus any extra
+/// flags, writing `<run>.json` in the scratch directory.
+fn sweep(
+    scratch: &Scratch,
+    run: &str,
+    spec: &str,
+    seed: Option<&str>,
+    jobs: usize,
+    extra: &[&str],
+) -> Output {
     let json = scratch.path(&format!("{run}.json"));
-    Command::new(BIN)
-        .args(["--spec", "tiny", "--json", json.to_str().unwrap()])
+    let mut cmd = Command::new(BIN);
+    cmd.args(["--spec", spec, "--json", json.to_str().unwrap()])
         .args(extra)
         .env("SWAPRAM_JOBS", jobs.to_string())
-        .env_remove(resilience::FAULT_SEED_ENV)
-        .output()
-        .expect("campaign binary runs")
+        .env_remove(resilience::FAULT_SEED_ENV);
+    if let Some(seed) = seed {
+        cmd.env(resilience::FAULT_SEED_ENV, seed);
+    }
+    cmd.output().expect("campaign binary runs")
 }
 
 fn read(scratch: &Scratch, run: &str) -> String {
@@ -68,18 +85,26 @@ fn assert_usage_error(out: &Output, what: &str, needle: &str) {
 #[test]
 fn output_is_byte_identical_across_thread_counts() {
     let scratch = Scratch::new("det");
-    let reference = campaign(&scratch, "j1", 1, &[]);
-    assert!(reference.status.success(), "reference run failed:\n{}", stderr_of(&reference));
-    let ref_bytes = read(&scratch, "j1");
-    assert!(ref_bytes.contains("\"cells\""), "document has a cells array");
+    let cases: [(&str, Option<&str>, &[usize]); 2] =
+        [("tiny", None, &[4, 16]), ("fast", Some("51966"), &[4])];
+    for (spec, seed, threads) in cases {
+        let reference = sweep(&scratch, &format!("{spec}-j1"), spec, seed, 1, &[]);
+        assert!(
+            reference.status.success(),
+            "{spec} reference run failed:\n{}",
+            stderr_of(&reference)
+        );
+        let ref_bytes = read(&scratch, &format!("{spec}-j1"));
+        assert!(ref_bytes.contains("\"cells\""), "document has a cells array");
 
-    for jobs in [4, 16] {
-        let run = format!("j{jobs}");
-        let out = campaign(&scratch, &run, jobs, &[]);
-        assert!(out.status.success(), "{jobs}-thread run failed:\n{}", stderr_of(&out));
-        assert_eq!(read(&scratch, &run), ref_bytes, "{jobs} threads must give the reference bytes");
-        // stdout (the rendered report) must match too.
-        assert_eq!(out.stdout, reference.stdout, "rendered report differs for {run}");
+        for &jobs in threads {
+            let run = format!("{spec}-j{jobs}");
+            let out = sweep(&scratch, &run, spec, seed, jobs, &[]);
+            assert!(out.status.success(), "{run} failed:\n{}", stderr_of(&out));
+            assert_eq!(read(&scratch, &run), ref_bytes, "{run} must give the 1-thread bytes");
+            // stdout (the rendered report) must match too.
+            assert_eq!(out.stdout, reference.stdout, "rendered report differs for {run}");
+        }
     }
 }
 

@@ -109,7 +109,7 @@ pub struct SwapConfig {
     /// runtime-mutable metadata (redirection + relocation words), verify
     /// them on every miss, and repair corrupted entries from the immutable
     /// FRAM image. Costs one FRAM word per function plus the
-    /// [`crate::cost::COST`] guard charges per miss.
+    /// [`crate::Step::Guard`] charges per miss.
     pub guards: bool,
     /// Critical-section policy under timer interrupts.
     pub isr_protocol: IsrProtocol,

@@ -3,132 +3,154 @@
 //! The paper's miss handler is C code executing from FRAM. In this
 //! reproduction its *memory traffic* (metadata reads, redirection/reloc
 //! writes, the function copy) goes through the simulated bus and is counted
-//! exactly; its *instruction execution* is charged from this model, with
-//! the handler's own instruction fetches replayed against the bus inside a
+//! exactly; its *instruction execution* is charged per [`Step`], with the
+//! handler's own instruction fetches replayed against the bus inside a
 //! dedicated FRAM window so they contend for the hardware read cache and
 //! pay wait states like the real handler would.
 //!
-//! [`COST`] is the one table the runtime reads. Its values are derived by
-//! hand-counting the MSP430 instruction sequences each handler step needs
-//! (register save/restore, table lookup, queue bookkeeping, per-reloc
-//! address arithmetic, the copy loop) and are deliberately on the
-//! conservative (expensive) side.
+//! [`Step::cost`] is the one price list the runtime reads. Its values are
+//! derived by hand-counting the MSP430 instruction sequences each handler
+//! step needs (register save/restore, table lookup, queue bookkeeping,
+//! per-reloc address arithmetic, the copy loop) and are deliberately on
+//! the conservative (expensive) side.
 
-/// Per-operation instruction/cycle charges for the miss handler; the
-/// values in use are [`COST`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CostModel {
+use msp430_sim::trace::Category;
+
+/// One priced step of the miss handler, recovery or checkpoint code. A
+/// step whose price scales carries its own count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
     /// Handler entry: save R12–R15 (the platform argument registers, §3.3),
     /// load `funcId`, index the function-info table.
-    pub entry_instrs: u64,
-    /// Cycles for handler entry.
-    pub entry_cycles: u64,
-    /// Per cached function inspected while flagging eviction candidates.
-    pub scan_instrs: u64,
-    /// Cycles per flagged-candidate scan step.
-    pub scan_cycles: u64,
-    /// Per evicted function: queue update, redirection reset.
-    pub evict_instrs: u64,
-    /// Cycles per eviction.
-    pub evict_cycles: u64,
-    /// Per relocation entry written or reset.
-    pub reloc_instrs: u64,
-    /// Cycles per relocation entry.
-    pub reloc_cycles: u64,
-    /// Per word copied by `memcpy` (load, store, pointer bump, loop test).
-    pub copy_word_instrs: u64,
-    /// Cycles per copied word, excluding the bus-counted accesses' stalls.
-    pub copy_word_cycles: u64,
+    Entry,
+    /// Cached functions inspected while flagging eviction candidates or
+    /// sweeping metadata.
+    Scan {
+        /// Functions inspected.
+        entries: u64,
+    },
+    /// One evicted function: queue update, redirection reset, and its
+    /// relocation entries reset at the [`Step::Reloc`] price.
+    Evict {
+        /// Relocation entries reset.
+        relocs: u64,
+    },
+    /// Relocation entries written after a fill.
+    Reloc {
+        /// Relocation entries written.
+        relocs: u64,
+    },
+    /// Words copied by `memcpy` (load, store, pointer bump, loop test);
+    /// the accesses' stalls are bus-counted.
+    CopyWord {
+        /// Words copied.
+        words: u64,
+    },
     /// Handler exit: restore argument registers and branch to the target.
-    pub exit_instrs: u64,
-    /// Cycles for handler exit.
-    pub exit_cycles: u64,
+    Exit,
     /// Boot-time recovery entry: read the journal header / set up the
     /// metadata sweep.
-    pub recover_base_instrs: u64,
-    /// Cycles for recovery entry.
-    pub recover_base_cycles: u64,
-    /// Per function inspected or rewound during recovery (redirection
-    /// reset and active-counter clear; relocation words reuse the
-    /// per-reloc charge).
-    pub recover_func_instrs: u64,
-    /// Cycles per recovered function.
-    pub recover_func_cycles: u64,
-    /// Per dirty-log append (read header, write slot, bump count).
-    pub journal_append_instrs: u64,
-    /// Cycles per dirty-log append.
-    pub journal_append_cycles: u64,
-    /// Fixed part of a guard check/update: load the stored guard word,
-    /// initialise the CRC accumulator, compare or store.
-    pub guard_base_instrs: u64,
-    /// Cycles for the fixed guard part.
-    pub guard_base_cycles: u64,
-    /// Per metadata word folded into the CRC (table-less bitwise
-    /// CRC-16/CCITT: 16 shift/xor rounds per word, hand-counted).
-    pub guard_word_instrs: u64,
-    /// Cycles per CRC'd metadata word.
-    pub guard_word_cycles: u64,
-    /// Fixed part of a persistent-stack checkpoint commit: read the slot
-    /// header, save the register file, publish the generation word, and
-    /// journal the I/O-port state.
-    pub checkpoint_base_instrs: u64,
-    /// Cycles for the fixed checkpoint part.
-    pub checkpoint_base_cycles: u64,
-    /// Per word copied into the checkpoint slot (stack window, active
-    /// counters) — the CRC fold is charged separately via the guard-word
-    /// rates.
-    pub checkpoint_word_instrs: u64,
-    /// Cycles per checkpointed word.
-    pub checkpoint_word_cycles: u64,
+    RecoverBase,
+    /// One function rewound during recovery: redirection reset and
+    /// active-counter clear, plus its relocation words at the
+    /// [`Step::Reloc`] price.
+    RecoverFunc {
+        /// Relocation entries reset.
+        relocs: u64,
+    },
+    /// One dirty-log append (read header, write slot, bump count).
+    JournalAppend,
+    /// A guard check or update: load the stored guard word, initialise
+    /// the CRC accumulator, compare or store, then fold each covered
+    /// metadata word into the CRC (table-less bitwise CRC-16/CCITT: 16
+    /// shift/xor rounds per word, hand-counted).
+    Guard {
+        /// Metadata words folded into the CRC.
+        words: u64,
+    },
+    /// A persistent-stack checkpoint commit, validation or restore: read
+    /// the slot header, save the register file, publish the generation
+    /// word and journal the I/O-port state, then copy each slot word
+    /// (stack window, active counters).
+    Checkpoint {
+        /// Slot words copied.
+        words: u64,
+    },
     /// Boot-time watchdog bookkeeping: read and rewrite the four
     /// persistent watchdog words.
-    pub watchdog_instrs: u64,
-    /// Cycles for watchdog bookkeeping.
-    pub watchdog_cycles: u64,
+    Watchdog,
+    /// A scan of stack words for return addresses into an eviction
+    /// victim (the live stack, or the suspended task stacks and their
+    /// task-table words), priced as a two-instruction, four-cycle setup
+    /// plus one instruction per two words and one cycle per word. The
+    /// word reads themselves are bus-counted.
+    StackScan {
+        /// Stack and task-table words read.
+        words: u64,
+    },
 }
 
-/// The FR2355 charges the runtime applies (hand-counted MSP430 sequences).
-pub const COST: CostModel = CostModel {
-    entry_instrs: 14,
-    entry_cycles: 36,
-    scan_instrs: 6,
-    scan_cycles: 14,
-    evict_instrs: 10,
-    evict_cycles: 26,
-    reloc_instrs: 5,
-    reloc_cycles: 13,
-    copy_word_instrs: 3,
-    copy_word_cycles: 6,
-    exit_instrs: 8,
-    exit_cycles: 22,
-    recover_base_instrs: 12,
-    recover_base_cycles: 30,
-    recover_func_instrs: 8,
-    recover_func_cycles: 20,
-    journal_append_instrs: 6,
-    journal_append_cycles: 16,
-    guard_base_instrs: 5,
-    guard_base_cycles: 12,
-    guard_word_instrs: 18,
-    guard_word_cycles: 40,
-    checkpoint_base_instrs: 24,
-    checkpoint_base_cycles: 60,
-    checkpoint_word_instrs: 3,
-    checkpoint_word_cycles: 6,
-    watchdog_instrs: 10,
-    watchdog_cycles: 26,
-};
+/// The sum of two `(instrs, cycles)` prices.
+const fn plus(a: (u64, u64), b: (u64, u64)) -> (u64, u64) {
+    (a.0 + b.0, a.1 + b.1)
+}
+
+impl Step {
+    /// The step's `(instructions, cycles)` on the FR2355 (hand-counted
+    /// MSP430 sequences).
+    pub const fn cost(self) -> (u64, u64) {
+        match self {
+            Step::Entry => (14, 36),
+            Step::Scan { entries } => (6 * entries, 14 * entries),
+            Step::Evict { relocs } => plus((10, 26), Step::Reloc { relocs }.cost()),
+            Step::Reloc { relocs } => (5 * relocs, 13 * relocs),
+            Step::CopyWord { words } => (3 * words, 6 * words),
+            Step::Exit => (8, 22),
+            Step::RecoverBase => (12, 30),
+            Step::RecoverFunc { relocs } => plus((8, 20), Step::Reloc { relocs }.cost()),
+            Step::JournalAppend => (6, 16),
+            Step::Guard { words } => (5 + 18 * words, 12 + 40 * words),
+            Step::Checkpoint { words } => (24 + 3 * words, 60 + 6 * words),
+            Step::Watchdog => (10, 26),
+            Step::StackScan { words } => (2 + words / 2, 4 + words),
+        }
+    }
+
+    /// The Figure-8 series the step's instructions count toward.
+    pub fn category(self) -> Category {
+        match self {
+            Step::CopyWord { .. } => Category::Memcpy,
+            _ => Category::MissHandler,
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn defaults_are_nonzero() {
-        let c = COST;
-        assert!(c.entry_cycles >= c.entry_instrs);
-        assert!(c.copy_word_cycles >= c.copy_word_instrs);
-        assert!(c.exit_cycles > 0);
-        assert!(c.guard_word_cycles >= c.guard_word_instrs);
+    fn every_step_takes_at_least_a_cycle_per_instruction() {
+        for n in [0, 1, 64] {
+            let steps = [
+                Step::Entry,
+                Step::Scan { entries: n },
+                Step::Evict { relocs: n },
+                Step::Reloc { relocs: n },
+                Step::CopyWord { words: n },
+                Step::Exit,
+                Step::RecoverBase,
+                Step::RecoverFunc { relocs: n },
+                Step::JournalAppend,
+                Step::Guard { words: n },
+                Step::Checkpoint { words: n },
+                Step::Watchdog,
+                Step::StackScan { words: n },
+            ];
+            for step in steps {
+                let (instrs, cycles) = step.cost();
+                assert!(cycles >= instrs, "{step:?}: {instrs} instructions in {cycles} cycles");
+            }
+        }
     }
 }

@@ -19,8 +19,8 @@
 //! [`SwapConfig`] holds what experiments vary. The FR2355 layout the two
 //! halves share is fixed: the trap [`TRAP_ADDR`], the metadata tables at
 //! [`TABLES_BASE`], the handler's FRAM window at [`HANDLER_CODE_BASE`],
-//! the persistent-stack resume area at [`RESUME_BASE`], and the handler
-//! charges in [`COST`].
+//! the persistent-stack resume area at [`RESUME_BASE`], and the price of
+//! each handler [`Step`].
 //!
 //! ## Example
 //!
@@ -67,7 +67,7 @@ pub mod stats;
 pub mod tables;
 
 pub use config::{IsrProtocol, PolicyKind, RecoveryMode, SwapConfig};
-pub use cost::{CostModel, COST};
+pub use cost::Step;
 pub use pass::{Instrumented, Journal, ResumeArea, SwapFunc, SwapReloc};
 pub use runtime::{RecoveryOutcome, SwapRuntime, HANDLER_CODE_BASE};
 pub use stats::SwapStats;

@@ -8,12 +8,12 @@
 //! invokes [`SwapRuntime::on_trap`]. The handler's memory traffic —
 //! metadata reads, redirection and relocation writes, the word-by-word
 //! function copy — all go through the bus and are counted like any other
-//! access; its instruction-execution effort is charged from the cost
-//! table [`COST`] and attributed to the `miss handler` / `memcpy`
+//! access; its instruction-execution effort is charged one priced
+//! [`Step`] at a time and attributed to the `miss handler` / `memcpy`
 //! categories of Figure 8.
 
 use crate::config::{IsrProtocol, PolicyKind, RecoveryMode, SwapConfig};
-use crate::cost::COST;
+use crate::cost::Step;
 use crate::guards::{crc16, guard_value, plausible_act};
 use crate::pass::{Instrumented, Journal, ResumeArea, SwapFunc};
 use crate::stats::SwapStats;
@@ -23,7 +23,6 @@ use msp430_sim::error::{SimError, SimResult};
 use msp430_sim::isa::Reg;
 use msp430_sim::machine::{Hook, IrqBoundary, TrapAction};
 use msp430_sim::mem::{AccessKind, Bus};
-use msp430_sim::trace::Category;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -389,13 +388,7 @@ impl SwapRuntime {
         bus.nv_stash_ports(ra.slot_addrs[slot], gen);
         bus.write_word(ra.word_addr(slot, 0), gen)?;
 
-        let words = payload.len() as u64 + 2;
-        self.charge(
-            bus,
-            Category::MissHandler,
-            COST.checkpoint_base_instrs + COST.checkpoint_word_instrs * words,
-            COST.checkpoint_base_cycles + COST.checkpoint_word_cycles * words,
-        )?;
+        self.charge(bus, Step::Checkpoint { words: payload.len() as u64 + 2 })?;
         if self.wd_degraded {
             // Forward progress is provable again: clear the *persistent*
             // degradation so the next boot resumes normal caching. This
@@ -428,13 +421,7 @@ impl SwapRuntime {
             payload.push(bus.read_word(ra.word_addr(slot, ResumeArea::LEN_OFS + i), AccessKind::Read)?);
         }
         let crc = bus.read_word(ra.word_addr(slot, ResumeArea::CRC_OFS), AccessKind::Read)?;
-        let words = payload.len() as u64 + 2;
-        self.charge(
-            bus,
-            Category::MissHandler,
-            COST.checkpoint_base_instrs + COST.checkpoint_word_instrs * words,
-            COST.checkpoint_base_cycles + COST.checkpoint_word_cycles * words,
-        )?;
+        self.charge(bus, Step::Checkpoint { words: payload.len() as u64 + 2 })?;
         if crc != crc16(payload.iter().copied()) {
             return Ok(None);
         }
@@ -525,13 +512,7 @@ impl SwapRuntime {
             cpu.set_reg(Reg::r(r), payload[1 + usize::from(r)]);
         }
         bus.nv_restore_ports(ra.slot_addrs[slot], tag);
-        let words = payload.len() as u64;
-        self.charge(
-            bus,
-            Category::MissHandler,
-            COST.checkpoint_base_instrs + COST.checkpoint_word_instrs * words,
-            COST.checkpoint_base_cycles + COST.checkpoint_word_cycles * words,
-        )
+        self.charge(bus, Step::Checkpoint { words: payload.len() as u64 })
     }
 
     /// Per-boot Sisyphus-watchdog bookkeeping over the four persistent
@@ -568,7 +549,7 @@ impl SwapRuntime {
         bus.write_word(wa.wrapping_add(2), prog2)?;
         bus.write_word(wa.wrapping_add(4), nonprog2)?;
         bus.write_word(wa.wrapping_add(6), degraded2)?;
-        self.charge(bus, Category::MissHandler, COST.watchdog_instrs, COST.watchdog_cycles)?;
+        self.charge(bus, Step::Watchdog)?;
         self.wd_degraded = degraded2 != 0;
         Ok(self.wd_degraded)
     }
@@ -624,11 +605,12 @@ impl SwapRuntime {
         u32::from(self.cfg.cache_base) + u32::from(self.cfg.cache_size)
     }
 
-    /// Charges `instrs` handler instructions: Figure-8 attribution plus a
-    /// replay of the instruction fetches against the FRAM handler window
+    /// Charges one handler step at its price: Figure-8 attribution plus a
+    /// replay of its instruction fetches against the FRAM handler window
     /// (so they pay wait states and contend for the hardware cache).
-    fn charge(&mut self, bus: &mut Bus, cat: Category, instrs: u64, cycles: u64) -> SimResult<()> {
-        bus.stats_mut().charge_modeled(cat, instrs, cycles);
+    fn charge(&mut self, bus: &mut Bus, step: Step) -> SimResult<()> {
+        let (instrs, cycles) = step.cost();
+        bus.stats_mut().charge_modeled(step.category(), instrs, cycles);
         bus.replay_handler_fetches(HANDLER_CODE_BASE, &mut self.fetch_cursor, instrs)
     }
 
@@ -734,13 +716,7 @@ impl SwapRuntime {
             return Ok(());
         };
         bus.write_word(ga, guard_value(redir, reloc_values))?;
-        let words = 1 + reloc_values.len() as u64;
-        self.charge(
-            bus,
-            Category::MissHandler,
-            COST.guard_base_instrs + COST.guard_word_instrs * words,
-            COST.guard_base_cycles + COST.guard_word_cycles * words,
-        )
+        self.charge(bus, Step::Guard { words: 1 + reloc_values.len() as u64 })
     }
 
     /// Verifies a function's guard word against the metadata actually in
@@ -758,13 +734,7 @@ impl SwapRuntime {
             vals.push(bus.read_word(r.reloc_addr, AccessKind::Read)?);
         }
         let stored = bus.read_word(ga, AccessKind::Read)?;
-        let words = 1 + vals.len() as u64;
-        self.charge(
-            bus,
-            Category::MissHandler,
-            COST.guard_base_instrs + COST.guard_word_instrs * words,
-            COST.guard_base_cycles + COST.guard_word_cycles * words,
-        )?;
+        self.charge(bus, Step::Guard { words: 1 + vals.len() as u64 })?;
         self.stats.borrow_mut().guard_checks += 1;
         if stored != guard_value(redir, &vals) {
             return Ok(false);
@@ -795,7 +765,7 @@ impl SwapRuntime {
         for e in snapshot {
             let f = self.func(e.id)?.clone();
             let redir = bus.read_word(f.redir_addr, AccessKind::Read)?;
-            self.charge(bus, Category::MissHandler, COST.scan_instrs, COST.scan_cycles)?;
+            self.charge(bus, Step::Scan { entries: 1 })?;
             self.stats.borrow_mut().guard_checks += 1;
             if redir != e.addr {
                 self.repair_function(bus, e.id)?;
@@ -831,7 +801,7 @@ impl SwapRuntime {
                 break;
             }
         }
-        self.charge(bus, Category::MissHandler, 2 + words / 2, 4 + words)?;
+        self.charge(bus, Step::StackScan { words })?;
         Ok(pinned)
     }
 
@@ -867,7 +837,7 @@ impl SwapRuntime {
                 }
             }
         }
-        self.charge(bus, Category::MissHandler, 2 + words / 2, 4 + words)?;
+        self.charge(bus, Step::StackScan { words })?;
         Ok(pinned)
     }
 
@@ -935,12 +905,7 @@ impl SwapRuntime {
         }
         let ret = bus.read_word(sp, AccessKind::Read)?;
         let site = bus.read_word(ret.wrapping_sub(2), AccessKind::Read).unwrap_or(0);
-        self.charge(
-            bus,
-            Category::MissHandler,
-            COST.guard_base_instrs,
-            COST.guard_base_cycles,
-        )?;
+        self.charge(bus, Step::Guard { words: 0 })?;
         self.stats.borrow_mut().guard_checks += 1;
         let by_site = self.funcs.iter().position(|g| g.redir_addr == site).map(|i| i as u16);
         if trap_pc != TRAP_ADDR {
@@ -981,16 +946,10 @@ impl SwapRuntime {
     fn evict(&mut self, bus: &mut Bus, victim: Entry) -> SimResult<()> {
         let f = self.func(victim.id)?.clone();
         bus.write_word(f.redir_addr, TRAP_ADDR)?;
-        let reloc_count = f.relocs.len() as u64;
         for r in &f.relocs {
             bus.write_word(r.reloc_addr, f.fram_addr.wrapping_add(r.ofs))?;
         }
-        self.charge(
-            bus,
-            Category::MissHandler,
-            COST.evict_instrs + COST.reloc_instrs * reloc_count,
-            COST.evict_cycles + COST.reloc_cycles * reloc_count,
-        )?;
+        self.charge(bus, Step::Evict { relocs: f.relocs.len() as u64 })?;
         self.entries.retain(|e| e.id != victim.id);
         let vals = Self::fram_reloc_values(&f);
         self.refresh_guard(bus, &f, TRAP_ADDR, &vals)?;
@@ -1012,13 +971,7 @@ impl SwapRuntime {
             let w = bus.read_word(f.fram_addr + 2 * i, AccessKind::Read)?;
             bus.write_word(place + 2 * i, w)?;
         }
-        self.charge(
-            bus,
-            Category::Memcpy,
-            COST.copy_word_instrs * words,
-            COST.copy_word_cycles * words,
-        )?;
-        let reloc_count = f.relocs.len() as u64;
+        self.charge(bus, Step::CopyWord { words })?;
         for r in &f.relocs {
             let mut ofs = bus.read_word(r.rofs_addr, AccessKind::Read)?;
             if self.cfg.guards && ofs != r.ofs {
@@ -1031,12 +984,7 @@ impl SwapRuntime {
             bus.write_word(r.reloc_addr, place.wrapping_add(ofs))?;
         }
         bus.write_word(f.redir_addr, place)?;
-        self.charge(
-            bus,
-            Category::MissHandler,
-            COST.reloc_instrs * reloc_count,
-            COST.reloc_cycles * reloc_count,
-        )?;
+        self.charge(bus, Step::Reloc { relocs: f.relocs.len() as u64 })?;
         let vals: Vec<u16> = f.relocs.iter().map(|r| place.wrapping_add(r.ofs)).collect();
         self.refresh_guard(bus, f, place, &vals)?;
         let mut stats = self.stats.borrow_mut();
@@ -1069,12 +1017,7 @@ impl SwapRuntime {
         let gen = bus.read_word(j.gen_addr, AccessKind::Read)?;
         bus.write_word(j.slots_addr + 2 * count, journal_entry_word(gen, fid))?;
         bus.write_word(j.count_addr, count + 1)?;
-        self.charge(
-            bus,
-            Category::MissHandler,
-            COST.journal_append_instrs,
-            COST.journal_append_cycles,
-        )?;
+        self.charge(bus, Step::JournalAppend)?;
         self.logged[usize::from(fid)] = true;
         self.stats.borrow_mut().journal_appends += 1;
         Ok(true)
@@ -1121,12 +1064,7 @@ impl SwapRuntime {
         self.freeze_left = 0;
         self.logged.iter_mut().for_each(|l| *l = false);
 
-        self.charge(
-            bus,
-            Category::MissHandler,
-            COST.recover_base_instrs,
-            COST.recover_base_cycles,
-        )?;
+        self.charge(bus, Step::RecoverBase)?;
         let want_log = self.cfg.recovery == RecoveryMode::DirtyLog && self.journal.is_some();
         let from_log = if want_log { self.recover_from_log(bus)? } else { None };
         let journal_fallback = want_log && from_log.is_none();
@@ -1237,13 +1175,7 @@ impl SwapRuntime {
                         (redir, reloc_vals)
                     };
                     let stored = bus.read_word(ga, AccessKind::Read)?;
-                    let words = 1 + vals.len() as u64;
-                    self.charge(
-                        bus,
-                        Category::MissHandler,
-                        COST.guard_base_instrs + COST.guard_word_instrs * words,
-                        COST.guard_base_cycles + COST.guard_word_cycles * words,
-                    )?;
+                    self.charge(bus, Step::Guard { words: 1 + vals.len() as u64 })?;
                     self.stats.borrow_mut().guard_checks += 1;
                     let expected = guard_value(redir_now, &vals);
                     if stored != expected {
@@ -1252,12 +1184,7 @@ impl SwapRuntime {
                     }
                 }
             }
-            self.charge(
-                bus,
-                Category::MissHandler,
-                COST.scan_instrs,
-                COST.scan_cycles,
-            )?;
+            self.charge(bus, Step::Scan { entries: 1 })?;
         }
         Ok(rewound)
     }
@@ -1272,12 +1199,7 @@ impl SwapRuntime {
             bus.write_word(r.reloc_addr, f.fram_addr.wrapping_add(r.ofs))?;
         }
         bus.write_word(f.act_addr, 0)?;
-        self.charge(
-            bus,
-            Category::MissHandler,
-            COST.recover_func_instrs + COST.reloc_instrs * f.relocs.len() as u64,
-            COST.recover_func_cycles + COST.reloc_cycles * f.relocs.len() as u64,
-        )?;
+        self.charge(bus, Step::RecoverFunc { relocs: f.relocs.len() as u64 })?;
         let vals = Self::fram_reloc_values(&f);
         self.refresh_guard(bus, &f, TRAP_ADDR, &vals)?;
         Ok(())
@@ -1396,7 +1318,7 @@ impl Hook for SwapRuntime {
         self.stats.borrow_mut().misses += 1;
         // Handler entry: save argument registers, read funcId, look up the
         // function-info record (one metadata read from FRAM).
-        self.charge(bus, Category::MissHandler, COST.entry_instrs, COST.entry_cycles)?;
+        self.charge(bus, Step::Entry)?;
         let mut fid = bus.read_word(self.fid_addr, AccessKind::Read)?;
         if self.cfg.guards {
             // Cross-check the funcId against the call site (repairing it or
@@ -1417,7 +1339,7 @@ impl Hook for SwapRuntime {
         self.maybe_checkpoint(cpu, bus, TRAP_ADDR, false)?;
         let exit = |rt: &mut SwapRuntime, cpu: &mut Cpu, bus: &mut Bus, target: u16| {
             cpu.set_pc(target);
-            rt.charge(bus, Category::MissHandler, COST.exit_instrs, COST.exit_cycles)?;
+            rt.charge(bus, Step::Exit)?;
             rt.enforce_invariants(bus)?;
             Ok(TrapAction::Resume)
         };
@@ -1463,12 +1385,7 @@ impl Hook for SwapRuntime {
         let mut chosen: Option<(u16, Vec<Entry>)> = None;
         for place in candidates {
             let mut flagged = self.overlapping(place, size);
-            self.charge(
-                bus,
-                Category::MissHandler,
-                COST.scan_instrs * (flagged.len() as u64 + 1),
-                COST.scan_cycles * (flagged.len() as u64 + 1),
-            )?;
+            self.charge(bus, Step::Scan { entries: flagged.len() as u64 + 1 })?;
             let mut blocked = false;
             for e in &flagged {
                 let g = self.func(e.id)?.clone();
@@ -1565,6 +1482,7 @@ mod tests {
     use msp430_sim::freq::Frequency;
     use msp430_sim::machine::Fr2355;
     use msp430_sim::ports::checksum_of_words;
+    use msp430_sim::trace::Category;
 
     /// A program with three functions: main calls `inc3` and `dbl` in a
     /// loop and emits the result.
