@@ -392,12 +392,12 @@ pub fn run_cell(h: &Harness, cell: &Cell) -> Json {
             let episode = resilience::loss_episode(built, seed, clean_cycles, cell.freq);
             let losses = episode.faults.events().len() as u64;
             let run = episode.run();
-            let replay_overhead_pct = resilience::overhead_pct(run.total_cycles, clean_cycles);
+            let replay_overhead_pct = resilience::overhead_pct(run.sim.total_cycles(), clean_cycles);
             fields.push(("status", Json::str(if run.correct() { "ok" } else { "failed" })));
             fields.push(("correct", Json::Bool(run.correct())));
             fields.push(("base_cycles", opt_u64(base_cycles)));
             fields.push(("clean_cycles", Json::U64(clean_cycles)));
-            fields.push(("total_cycles", Json::U64(run.total_cycles)));
+            fields.push(("total_cycles", Json::U64(run.sim.total_cycles())));
             fields.push(("overhead_pct", opt_f64(overhead_pct)));
             fields.push(("replay_overhead_pct", Json::F64(replay_overhead_pct)));
             fields.push(("boots", Json::U64(u64::from(run.boots))));

@@ -268,8 +268,8 @@ fn episode(
         power_loss,
         bit_flip,
         boots: run.boots,
-        irq_delivered: run.irq_delivered,
-        irq_coalesced: run.irq_coalesced,
+        irq_delivered: run.sim.irq_delivered,
+        irq_coalesced: run.sim.irq_coalesced,
         isr_yields: run.stats.isr_yields,
         boundary_checks: run.stats.boundary_checks,
         guard_repairs: run.stats.guard_repairs,
@@ -279,7 +279,7 @@ fn episode(
         survived: run.survived(),
         correct: run.correct(),
         clean_cycles,
-        total_cycles: run.total_cycles,
+        total_cycles: run.sim.total_cycles(),
         error: run.error(),
     }
 }

@@ -29,6 +29,7 @@ use msp430_sim::irq::{IrqSchedule, IrqTimer};
 use msp430_sim::machine::{ExitReason, Fr2355, Machine};
 use msp430_sim::mem::AddrRange;
 use msp430_sim::rng::SplitMix64;
+use msp430_sim::trace::Stats;
 use swapram::{RecoveryMode, SwapRuntime, SwapStats};
 
 /// How an episode ended, most severe classification first.
@@ -115,17 +116,19 @@ pub struct Ended {
     pub end: End,
     /// Boots taken (1 + reboots).
     pub boots: u32,
-    /// Cumulative cycles across all boots, as of the last completed run.
-    pub total_cycles: u64,
-    /// Interrupts delivered across all boots.
-    pub irq_delivered: u64,
-    /// Interrupts coalesced while one was already pending.
-    pub irq_coalesced: u64,
+    /// The simulator's statistics as of the last completed run. They
+    /// survive power cycles, so they cover every boot: cycles, the
+    /// Figure-8 instruction split, interrupts delivered and coalesced.
+    pub sim: Stats,
     /// Every booted runtime's counters, summed.
     pub stats: SwapStats,
     /// The end-of-run audit's finding, when [`Episode::audit`] was set
     /// and it rejected the metadata.
     pub audit: Option<String>,
+    /// Idle-loop iterations the pre-decoded engine accounted without
+    /// executing them (0 under the interpreter): a host-side counter that
+    /// no row publishes.
+    pub skipped_iterations: u64,
 }
 
 impl Ended {
@@ -160,7 +163,7 @@ impl Ended {
         match &self.end {
             End::Halted { .. } => None,
             End::Stopped(ExitReason::CycleLimit) => {
-                Some(MeasureError::CycleLimit(self.total_cycles).to_string())
+                Some(MeasureError::CycleLimit(self.sim.total_cycles()).to_string())
             }
             End::Stopped(other) => Some(format!("exit {other:?}")),
             End::Error(msg) => Some(msg.clone()),
@@ -200,11 +203,10 @@ impl Episode<'_> {
         let mut ended = Ended {
             end: End::Halted { correct: false },
             boots: 1,
-            total_cycles: 0,
-            irq_delivered: 0,
-            irq_coalesced: 0,
+            sim: Stats::default(),
             stats: SwapStats::default(),
             audit: None,
+            skipped_iterations: 0,
         };
         let mut handles = Vec::new();
         let mut rt = swap_runtime(inst, cfg);
@@ -216,9 +218,7 @@ impl Episode<'_> {
                 Ok(out) => out,
                 Err(e) => break End::Error(e.to_string()),
             };
-            ended.total_cycles = out.stats.total_cycles();
-            ended.irq_delivered = out.stats.irq_delivered;
-            ended.irq_coalesced = out.stats.irq_coalesced;
+            ended.sim = out.stats;
             match out.exit {
                 ExitReason::Halted(0) => {
                     if self.audit {
@@ -255,6 +255,7 @@ impl Episode<'_> {
         for handle in handles {
             ended.stats += &*handle.borrow();
         }
+        ended.skipped_iterations = machine.block_engine().map_or(0, |e| e.skipped_iterations());
         ended
     }
 }
@@ -266,11 +267,8 @@ impl Episode<'_> {
 /// keeps its committed checkpoint frames and watchdog words.
 fn restore_app_state(machine: &mut Machine, built: &Built, input: &[u8]) {
     for seg in &built.image().segments {
-        if built.layout.survives_reboot(seg.addr) {
-            continue;
-        }
-        for (i, b) in seg.bytes.iter().enumerate() {
-            machine.bus_mut().poke_byte(seg.addr.wrapping_add(i as u16), *b);
+        if !built.layout.survives_reboot(seg.addr) {
+            machine.bus_mut().poke_bytes(seg.addr, &seg.bytes);
         }
     }
     poke_inputs(machine, built, input);

@@ -321,11 +321,11 @@ fn episode(
         watchdog_degradations: run.stats.watchdog_degradations,
         watchdog_fallbacks: run.stats.watchdog_fallbacks,
         recovered_functions: run.stats.recovered_functions,
-        irq_delivered: run.irq_delivered,
+        irq_delivered: run.sim.irq_delivered,
         survived: run.survived(),
         correct: run.correct(),
         clean_cycles,
-        total_cycles: run.total_cycles,
+        total_cycles: run.sim.total_cycles(),
         // This campaign's rows do not single out guard repairs.
         outcome: match run.outcome() {
             Outcome::GuardRepaired => Outcome::Clean,

@@ -203,7 +203,7 @@ fn episode(
         survived: run.survived(),
         correct: run.correct(),
         clean_cycles,
-        total_cycles: run.total_cycles,
+        total_cycles: run.sim.total_cycles(),
         recovered_functions: run.stats.recovered_functions,
         degraded: run.stats.degraded,
         journal_appends: run.stats.journal_appends,

@@ -6,14 +6,13 @@
 //! totals are recorded values, so re-pricing any single step by one
 //! instruction or one cycle changes at least one of them.
 
+use experiments::episode::Episode;
 use experiments::measure::SEED;
-use mibench::builder::{
-    build, poke_inputs, run, swap_runtime, Built, MemoryProfile, Program, System,
-};
+use mibench::builder::{build, run, Built, MemoryProfile, System};
 use mibench::{input_for, Benchmark};
 use msp430_sim::fault::{EnergyShape, EnergyTrace, FaultPlan};
 use msp430_sim::freq::Frequency;
-use msp430_sim::machine::{ExitReason, Fr2355};
+use msp430_sim::machine::ExitReason;
 use msp430_sim::trace::{Category, Stats};
 use swapram::{IsrProtocol, PolicyKind, RecoveryMode, SwapConfig};
 
@@ -43,50 +42,24 @@ fn clean(built: &Built) -> Stats {
     out.stats
 }
 
-/// A power-loss episode: every boot after a loss recovers with a fresh
-/// runtime (resuming the checkpoint under the persistent stack, else
-/// restoring the application image), until the program halts with the
-/// oracle checksum. Statistics survive power cycles, so the last run's
-/// are the episode's.
+/// A power-loss episode on the campaigns' executor: every boot after a
+/// loss recovers with a fresh runtime, until the program halts with the
+/// oracle checksum. Statistics survive power cycles, so the episode's are
+/// those of its last run.
 fn episode(built: &Built, faults: FaultPlan) -> Stats {
-    let Program::Swap(inst, cfg) = &built.program else { panic!("episodes run SwapRAM builds") };
-    let input = input_for(built.bench, SEED);
-    let mut machine = Fr2355::machine(Frequency::MHZ_24);
-    machine.load(built.image());
-    poke_inputs(&mut machine, built, &input);
-    machine.attach_fault_plan(faults);
-    let mut rt = swap_runtime(inst, cfg);
-    for _ in 0..1000 {
-        machine.attach_hook(Box::new(rt));
-        let out = machine.run(MAX_CYCLES).expect("run");
-        match out.exit {
-            ExitReason::Halted(0) => {
-                assert_eq!(out.checksum.0, built.bench.oracle_checksum(&input));
-                return out.stats;
-            }
-            ExitReason::PowerLoss => {}
-            other => panic!("{}: {other:?}", built.bench.name()),
-        }
-        machine.power_cycle();
-        rt = swap_runtime(inst, cfg);
-        let recovered = if cfg.recovery == RecoveryMode::PersistentStack {
-            let (cpu, bus) = machine.cpu_bus_mut();
-            rt.recover_resume(cpu, bus)
-        } else {
-            rt.recover(machine.bus_mut())
-        };
-        if !recovered.expect("recovery").resumed {
-            for seg in &built.image().segments {
-                if !built.layout.survives_reboot(seg.addr) {
-                    for (i, b) in seg.bytes.iter().enumerate() {
-                        machine.bus_mut().poke_byte(seg.addr.wrapping_add(i as u16), *b);
-                    }
-                }
-            }
-            poke_inputs(&mut machine, built, &input);
-        }
+    let ended = Episode {
+        built,
+        freq: Frequency::MHZ_24,
+        faults,
+        irq: None,
+        budget: MAX_CYCLES,
+        boot_cap: Some(1000),
+        sanitize: false,
+        audit: false,
     }
-    panic!("{}: no halt within 1000 boots", built.bench.name());
+    .run();
+    assert!(ended.correct(), "{}: {:?}", built.bench.name(), ended.end);
+    ended.sim
 }
 
 #[test]

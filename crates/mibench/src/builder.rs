@@ -372,13 +372,9 @@ pub fn prepare(
 /// scan a text corpus, the corpus into its buffer (host-side, no
 /// accounting).
 pub fn poke_inputs(machine: &mut Machine, built: &Built, input: &[u8]) {
-    for (i, b) in input.iter().enumerate() {
-        machine.bus_mut().poke_byte(built.input_addr.wrapping_add(i as u16), *b);
-    }
+    machine.bus_mut().poke_bytes(built.input_addr, input);
     if let Some(base) = built.corpus_addr {
-        for (i, b) in crate::corpus::text().iter().enumerate() {
-            machine.bus_mut().poke_byte(base.wrapping_add(i as u16), *b);
-        }
+        machine.bus_mut().poke_bytes(base, crate::corpus::text());
     }
 }
 

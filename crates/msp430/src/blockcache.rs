@@ -22,6 +22,29 @@
 //! the contiguous FRAM words of one instruction or one batched run, and
 //! `read_word` for the words the sanitizer must see one at a time.
 //!
+//! Execution dispatch is chosen at decode time too: every Format-I
+//! instruction carries a [`crate::cpu::AluOp`], the index of its handler
+//! monomorphised for its (opcode, size), so no opcode `match` runs per
+//! execution. The batched loop calls the register handlers directly.
+//!
+//! # Idle polling loops
+//!
+//! A block whose closing jump returns to its own start, whose other
+//! instructions are all CMP or BIT without an `@Rn+` source, and whose
+//! fetches need no sanitizer replay is an idle loop
+//! ([`Block::idle_loop`]): `w: tst &flag; jz w`, `jmp $`. An iteration
+//! changes only SR, the hardware cache's replacement state and the
+//! statistics. [`BlockEngine::step_batched`] saves those three on entry;
+//! when one iteration returns to the start with SR and the cache as it
+//! found them, every further iteration until the deadline is an exact
+//! replica. The engine adds `k` copies of the iteration's statistics
+//! ([`crate::trace::Stats::repeat_since`]), the most that keep
+//! `total_cycles` below the deadline, then resumes normal execution, so
+//! the batch stops on the same boundary as before.
+//! [`BlockEngine::skipped_iterations`] counts the skipped iterations.
+//! The interpreter executes every iteration and stays the parity
+//! reference (`tests/pollskip.rs`).
+//!
 //! # Invalidation contract
 //!
 //! Cached blocks are snapshots of code bytes, and SwapRAM rewrites code at
@@ -53,7 +76,9 @@
 use crate::cpu::Cpu;
 use crate::decode::{build_block, Block, DecodedInstr, ExecPlan, Plan};
 use crate::error::SimResult;
+use crate::hwcache::CacheState;
 use crate::mem::{AccessKind, Bus};
+use crate::trace::Stats;
 
 /// The `starts` table stores `slot + 1` so that 0 means "no block starts
 /// at this address" — an all-zero table lets construction use the
@@ -87,9 +112,23 @@ pub struct BlockEngine {
     /// Reused drain buffers.
     scratch: Vec<(u16, u32)>,
     candidates: Vec<u32>,
+    /// The state the current idle-loop iteration started from.
+    idle: IdleEntry,
     blocks_built: u64,
     blocks_invalidated: u64,
     delegated: u64,
+    skipped_iterations: u64,
+}
+
+/// The machine state an idle polling loop's iteration starts from (see
+/// [`BlockEngine::step_batched`]); saved into the same buffers on every
+/// entry.
+#[derive(Debug, Default)]
+struct IdleEntry {
+    pc: u16,
+    sr: u16,
+    cache: CacheState,
+    stats: Stats,
 }
 
 impl BlockEngine {
@@ -106,9 +145,11 @@ impl BlockEngine {
             seen_epoch: 0,
             scratch: Vec::new(),
             candidates: Vec::new(),
+            idle: IdleEntry::default(),
             blocks_built: 0,
             blocks_invalidated: 0,
             delegated: 0,
+            skipped_iterations: 0,
         }
     }
 
@@ -125,6 +166,12 @@ impl BlockEngine {
     /// Steps delegated to the interpreter (no block representable).
     pub fn delegated(&self) -> u64 {
         self.delegated
+    }
+
+    /// Idle-loop iterations accounted without being executed (see
+    /// [`BlockEngine::step_batched`]).
+    pub fn skipped_iterations(&self) -> u64 {
+        self.skipped_iterations
     }
 
     /// Drops every cached block and resynchronises with the bus barrier.
@@ -185,6 +232,18 @@ impl BlockEngine {
     /// boundary). A PC with no buildable block takes one delegated
     /// interpreter step and returns.
     ///
+    /// An idle polling loop (see [`Block::idle_loop`]) is not executed
+    /// iteration by iteration up to the deadline. Entering one saves PC,
+    /// SR, the hardware cache's replacement state and the statistics;
+    /// when one full iteration comes back to the same PC with SR and the
+    /// cache unchanged, the machine state that decides the next iteration
+    /// is what it was, so every further iteration is an exact replica
+    /// until the deadline. The engine then adds `k` copies of that
+    /// iteration's statistics, the most that keep `total_cycles` below
+    /// the deadline, and resumes normal execution, which stops on the
+    /// same boundary as before. [`BlockEngine::skipped_iterations`]
+    /// counts the `k`s.
+    ///
     /// # Errors
     ///
     /// As [`BlockEngine::step`]: identical conditions and partial state to
@@ -194,12 +253,40 @@ impl BlockEngine {
     pub fn step_batched(&mut self, cpu: &mut Cpu, bus: &mut Bus, deadline: u64) -> SimResult<()> {
         loop {
             let Some((slot, idx)) = self.locate(cpu, bus)? else { return Ok(()) };
+            let idle = idx == 0 && self.arena[slot as usize].as_ref().expect("validated slot").idle_loop;
+            if idle {
+                self.idle.pc = cpu.pc();
+                self.idle.sr = cpu.sr();
+                bus.hw_cache().save_state(&mut self.idle.cache);
+                self.idle.stats.clone_from(bus.stats());
+            }
             if !self.run_block(cpu, bus, slot, idx, deadline)?
                 || bus.map().trap.contains(cpu.pc())
                 || bus.reti_pending()
             {
                 return Ok(());
             }
+            if idle {
+                self.skip_idle_repeats(cpu, bus, deadline);
+            }
+        }
+    }
+
+    /// Accounts the further iterations of the idle loop whose iteration
+    /// just completed, if it left the state it started from (see
+    /// [`BlockEngine::step_batched`]). The completed iteration ran to its
+    /// end with no poll tripped, so `total_cycles` is below `deadline`.
+    fn skip_idle_repeats(&mut self, cpu: &Cpu, bus: &mut Bus, deadline: u64) {
+        let entry = &self.idle;
+        if cpu.pc() != entry.pc || cpu.sr() != entry.sr || !bus.hw_cache().state_eq(&entry.cache) {
+            return;
+        }
+        let now = bus.stats().total_cycles();
+        let per_iteration = now - entry.stats.total_cycles();
+        let k = (deadline - 1 - now).checked_div(per_iteration).unwrap_or(0);
+        if k > 0 {
+            bus.stats_mut().repeat_since(&entry.stats, k);
+            self.skipped_iterations += k;
         }
     }
 
@@ -405,15 +492,21 @@ fn granules(start: u16, end: u32) -> std::ops::RangeInclusive<usize> {
 
 /// Executes a decoded instruction through its pre-lowered dispatch (see
 /// [`ExecPlan`]); the caller must have advanced the PC past the fetch.
-#[inline]
+/// Forced inline: out of line, this `match` was the hottest leaf of the
+/// steady-state matrix.
+#[inline(always)]
 fn exec_lowered(cpu: &mut Cpu, bus: &mut Bus, di: &DecodedInstr) -> SimResult<()> {
     match di.exec {
-        ExecPlan::AluImm { op, size, v, dst } => cpu.exec_alu_reg(op, size, v, dst),
-        ExecPlan::AluReg { op, size, src, dst } => {
-            let v = cpu.reg(src);
-            cpu.exec_alu_reg(op, size, v, dst)
+        ExecPlan::AluImm { alu, v, dst } => {
+            alu.exec_reg(cpu, v, dst);
+            Ok(())
         }
-        ExecPlan::Alu { op, size, src, dst } => cpu.exec_alu(bus, op, size, src, dst),
+        ExecPlan::AluReg { alu, src, dst } => {
+            let v = cpu.reg(src);
+            alu.exec_reg(cpu, v, dst);
+            Ok(())
+        }
+        ExecPlan::Alu { alu, src, dst } => alu.exec_mem(cpu, bus, src, dst),
         ExecPlan::Fmt2Reg { op, size, dst } => cpu.exec_fmt2_reg(op, size, dst),
         ExecPlan::Push { size, src } => cpu.exec_push(bus, size, src),
         ExecPlan::Call { src } => cpu.exec_call(bus, src),

@@ -104,6 +104,17 @@ impl Cpu {
         self.regs[2] & bit != 0
     }
 
+    /// Sets C, Z, N and V at once, as every flag-writing instruction but
+    /// DADD does.
+    #[inline(always)]
+    fn set_cznv(&mut self, c: bool, z: bool, n: bool, v: bool) {
+        let flags = (u16::from(c) * FLAG_C)
+            | (u16::from(z) * FLAG_Z)
+            | (u16::from(n) * FLAG_N)
+            | (u16::from(v) * FLAG_V);
+        self.regs[2] = (self.regs[2] & !(FLAG_C | FLAG_Z | FLAG_N | FLAG_V)) | flags;
+    }
+
     #[inline]
     fn set_flag(&mut self, bit: u16, on: bool) {
         if on {
@@ -248,8 +259,10 @@ impl Cpu {
         let dloc = self.resolve(dst, size);
         let reads_dst = !matches!(op, Opcode::Mov);
         let dval = if reads_dst { u32::from(self.read_loc(bus, dloc, size)?) } else { 0 };
-
-        let (result, writeback) = self.alu_format_i(op, mask, sign, sval, dval)?;
+        if !op.is_format_i() {
+            return Err(SimError::BadEncoding(format!("{op} is not format I")));
+        }
+        let (result, writeback) = self.alu_format_i(op, mask, sign, sval, dval);
 
         if writeback {
             self.write_loc(bus, dloc, size, (result & mask) as u16)?;
@@ -262,20 +275,11 @@ impl Cpu {
     /// dispatched inside batched runs (see
     /// [`crate::decode::ExecPlan`]). Shares [`Cpu::alu_format_i`] with the
     /// generic path, so the semantics cannot diverge; only the operand
-    /// location plumbing is flattened away.
-    ///
-    /// # Errors
-    ///
-    /// As [`Cpu::exec_decoded`] — unreachable for the opcodes the decoder
-    /// produces, kept for parity.
-    #[inline]
-    pub(crate) fn exec_alu_reg(
-        &mut self,
-        op: Opcode,
-        size: Size,
-        sval_raw: u16,
-        dst: Reg,
-    ) -> SimResult<()> {
+    /// location plumbing is flattened away. `op` must be a Format-I
+    /// opcode; forced inline so each [`AluOp`] handler folds its opcode
+    /// `match` away.
+    #[inline(always)]
+    fn exec_alu_reg(&mut self, op: Opcode, size: Size, sval_raw: u16, dst: Reg) {
         let (mask, sign): (u32, u32) = match size {
             Size::Word => (0xFFFF, 0x8000),
             Size::Byte => (0xFF, 0x80),
@@ -283,11 +287,10 @@ impl Cpu {
         let sval = u32::from(sval_raw) & mask;
         let reads_dst = !matches!(op, Opcode::Mov);
         let dval = if reads_dst { u32::from(self.reg(dst)) & mask } else { 0 };
-        let (result, writeback) = self.alu_format_i(op, mask, sign, sval, dval)?;
+        let (result, writeback) = self.alu_format_i(op, mask, sign, sval, dval);
         if writeback {
             self.set_reg(dst, (result & mask) as u16);
         }
-        Ok(())
     }
 
     /// Executes a Format-I instruction with at least one memory operand
@@ -298,12 +301,15 @@ impl Cpu {
     /// resolve, destination read, ALU, writeback — through the same bus
     /// entry points, so accounting, faults and partial state on error are
     /// identical; only the per-execution operand matching is flattened.
+    /// `op` must be a Format-I opcode; forced inline as
+    /// [`Cpu::exec_alu_reg`] is.
     ///
     /// # Errors
     ///
     /// As [`Cpu::exec_decoded`]: any memory operand access may fault, with
     /// all earlier side effects (including auto-increment) committed.
-    pub(crate) fn exec_alu(
+    #[inline(always)]
+    fn exec_alu(
         &mut self,
         bus: &mut Bus,
         op: Opcode,
@@ -338,7 +344,7 @@ impl Cpu {
         } else {
             0
         };
-        let (result, writeback) = self.alu_format_i(op, mask, sign, sval, dval)?;
+        let (result, writeback) = self.alu_format_i(op, mask, sign, sval, dval);
         if writeback {
             let v = (result & mask) as u16;
             match (dloc, size) {
@@ -482,14 +488,10 @@ impl Cpu {
 
     /// The Format-I ALU core: computes the result and flag effects for
     /// already-read operand values, returning `(result, writeback)`.
-    fn alu_format_i(
-        &mut self,
-        op: Opcode,
-        mask: u32,
-        sign: u32,
-        sval: u32,
-        dval: u32,
-    ) -> SimResult<(u32, bool)> {
+    /// Callers pass only Format-I opcodes (the interpreter rejects any
+    /// other first). Forced inline, so a constant `op` folds the `match`.
+    #[inline(always)]
+    fn alu_format_i(&mut self, op: Opcode, mask: u32, sign: u32, sval: u32, dval: u32) -> (u32, bool) {
         let carry_in = u32::from(self.flag(FLAG_C));
         let mut writeback = true;
         let result: u32 = match op {
@@ -504,12 +506,9 @@ impl Cpu {
                 };
                 let full = dval + eff_src + cin;
                 let r = full & mask;
-                self.set_flag(FLAG_C, full > mask);
-                self.set_flag(FLAG_Z, r == 0);
-                self.set_flag(FLAG_N, r & sign != 0);
                 // Signed overflow: operands agree in sign, result differs.
                 let v = ((dval ^ r) & (eff_src ^ r) & sign) != 0;
-                self.set_flag(FLAG_V, v);
+                self.set_cznv(full > mask, r == 0, r & sign != 0, v);
                 if matches!(op, Opcode::Cmp) {
                     writeback = false;
                 }
@@ -538,10 +537,7 @@ impl Cpu {
             }
             Opcode::Bit | Opcode::And => {
                 let r = dval & sval;
-                self.set_flag(FLAG_Z, r == 0);
-                self.set_flag(FLAG_N, r & sign != 0);
-                self.set_flag(FLAG_C, r != 0);
-                self.set_flag(FLAG_V, false);
+                self.set_cznv(r != 0, r == 0, r & sign != 0, false);
                 if matches!(op, Opcode::Bit) {
                     writeback = false;
                 }
@@ -554,17 +550,12 @@ impl Cpu {
             Opcode::Bis => dval | sval,
             Opcode::Xor => {
                 let r = (dval ^ sval) & mask;
-                self.set_flag(FLAG_Z, r == 0);
-                self.set_flag(FLAG_N, r & sign != 0);
-                self.set_flag(FLAG_C, r != 0);
-                self.set_flag(FLAG_V, dval & sign != 0 && sval & sign != 0);
+                self.set_cznv(r != 0, r == 0, r & sign != 0, dval & sign != 0 && sval & sign != 0);
                 r
             }
-            other => {
-                return Err(SimError::BadEncoding(format!("{other} is not format I")))
-            }
+            other => unreachable!("{other} is not format I"),
         };
-        Ok((result, writeback))
+        (result, writeback)
     }
 
     /// RRA/RRC result-and-flag core for an already-read operand value,
@@ -582,10 +573,7 @@ impl Cpu {
             }
         };
         let r = (v >> 1) | top;
-        self.set_flag(FLAG_C, new_c);
-        self.set_flag(FLAG_Z, r == 0);
-        self.set_flag(FLAG_N, r & sign != 0);
-        self.set_flag(FLAG_V, false);
+        self.set_cznv(new_c, r == 0, r & sign != 0, false);
         (r & mask) as u16
     }
 
@@ -593,10 +581,7 @@ impl Cpu {
     /// by the generic and pre-lowered paths.
     fn sxt_core(&mut self, v: u16) -> u16 {
         let r = if v & 0x80 != 0 { v | 0xFF00 } else { v & 0x00FF };
-        self.set_flag(FLAG_Z, r == 0);
-        self.set_flag(FLAG_N, r & 0x8000 != 0);
-        self.set_flag(FLAG_C, r != 0);
-        self.set_flag(FLAG_V, false);
+        self.set_cznv(r != 0, r == 0, r & 0x8000 != 0, false);
         r
     }
 
@@ -646,6 +631,104 @@ impl Default for Cpu {
         Cpu::new()
     }
 }
+
+/// The twelve Format-I opcodes, in [`AluOp`] handler-table order.
+const FORMAT_I: [Opcode; 12] = [
+    Opcode::Mov,
+    Opcode::Add,
+    Opcode::Addc,
+    Opcode::Subc,
+    Opcode::Sub,
+    Opcode::Cmp,
+    Opcode::Dadd,
+    Opcode::Bit,
+    Opcode::Bic,
+    Opcode::Bis,
+    Opcode::Xor,
+    Opcode::And,
+];
+
+/// A Format-I opcode and operand size, chosen at decode time: the index
+/// `2 * opcode + byte` of its handlers in [`REG_HANDLERS`] and
+/// [`MEM_HANDLERS`]. Each handler is [`Cpu::exec_alu_reg`] or
+/// [`Cpu::exec_alu`] monomorphised for one (opcode, size), so the ALU
+/// core's opcode `match` folds away while the interpreter keeps the same
+/// code with a runtime opcode. One byte, so [`crate::decode::ExecPlan`]
+/// stays small.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AluOp(u8);
+
+impl AluOp {
+    /// The handler pair of `op` at `size`, or `None` for an opcode that
+    /// is not Format I.
+    pub(crate) fn new(op: Opcode, size: Size) -> Option<AluOp> {
+        let i = FORMAT_I.iter().position(|&o| o == op)?;
+        Some(AluOp(2 * i as u8 + u8::from(size == Size::Byte)))
+    }
+
+    /// The opcode.
+    #[inline(always)]
+    pub(crate) const fn op(self) -> Opcode {
+        FORMAT_I[(self.0 >> 1) as usize]
+    }
+
+    /// The operand size.
+    #[inline(always)]
+    pub(crate) const fn size(self) -> Size {
+        if self.0 & 1 == 0 {
+            Size::Word
+        } else {
+            Size::Byte
+        }
+    }
+
+    /// Executes `op.size #v, dst` (or a register source already read into
+    /// `v`); the caller has advanced the PC past the fetch.
+    #[inline]
+    pub(crate) fn exec_reg(self, cpu: &mut Cpu, v: u16, dst: Reg) {
+        REG_HANDLERS[usize::from(self.0)](cpu, v, dst);
+    }
+
+    /// Executes the instruction with at least one memory operand through
+    /// its pre-matched shape; the caller has advanced the PC.
+    ///
+    /// # Errors
+    ///
+    /// As [`Cpu::exec_decoded`]: a memory operand access may fault.
+    #[inline]
+    pub(crate) fn exec_mem(self, cpu: &mut Cpu, bus: &mut Bus, src: SrcPlan, dst: DstPlan) -> SimResult<()> {
+        MEM_HANDLERS[usize::from(self.0)](cpu, bus, src, dst)
+    }
+}
+
+/// Register-destination handler: [`Cpu::exec_alu_reg`] for one [`AluOp`].
+type RegHandler = fn(&mut Cpu, u16, Reg);
+/// Memory-operand handler: [`Cpu::exec_alu`] for one [`AluOp`].
+type MemHandler = fn(&mut Cpu, &mut Bus, SrcPlan, DstPlan) -> SimResult<()>;
+
+fn alu_reg<const I: u8>(cpu: &mut Cpu, v: u16, dst: Reg) {
+    let alu = AluOp(I);
+    cpu.exec_alu_reg(alu.op(), alu.size(), v, dst);
+}
+
+fn alu_mem<const I: u8>(cpu: &mut Cpu, bus: &mut Bus, src: SrcPlan, dst: DstPlan) -> SimResult<()> {
+    let alu = AluOp(I);
+    cpu.exec_alu(bus, alu.op(), alu.size(), src, dst)
+}
+
+/// One instance of `$f` per [`AluOp`] index.
+macro_rules! per_alu_op {
+    ($f:ident) => {
+        [
+            $f::<0>, $f::<1>, $f::<2>, $f::<3>, $f::<4>, $f::<5>, $f::<6>, $f::<7>,
+            $f::<8>, $f::<9>, $f::<10>, $f::<11>, $f::<12>, $f::<13>, $f::<14>, $f::<15>,
+            $f::<16>, $f::<17>, $f::<18>, $f::<19>, $f::<20>, $f::<21>, $f::<22>, $f::<23>,
+        ]
+    };
+}
+
+static REG_HANDLERS: [RegHandler; 2 * FORMAT_I.len()] = per_alu_op!(alu_reg);
+static MEM_HANDLERS: [MemHandler; 2 * FORMAT_I.len()] = per_alu_op!(alu_mem);
 
 /// Data read through the bus, as [`Cpu::read_loc`]'s memory arm — kept a
 /// free function so lowered executors can call it with the register file

@@ -17,7 +17,7 @@
 //! The dispatch engine that caches and invalidates these blocks lives in
 //! [`crate::blockcache`].
 
-use crate::cpu::{ext_count_raw, instr_cycles};
+use crate::cpu::{ext_count_raw, instr_cycles, AluOp};
 use crate::isa::{Instr, Opcode, Operand, Reg, Size};
 use crate::mem::{Bus, Region};
 use crate::trace::Category;
@@ -86,18 +86,20 @@ pub enum DstPlan {
 /// Pre-lowered execution dispatch: the operand-shape matching that the
 /// generic path ([`crate::cpu::Cpu::exec_decoded`]) performs per execution
 /// is done once at decode time, and dispatch goes straight to a flattened
-/// executor. Every lowered path shares the interpreter's ALU/flag cores
-/// ([`crate::cpu::Cpu`]'s `alu_format_i`, `rotate_core`, `sxt_core`,
-/// `jump_taken`), so the semantics cannot diverge; only operand-location
-/// plumbing is flattened away.
+/// executor. A Format-I instruction also resolves its (opcode, size) to an
+/// [`AluOp`] handler monomorphised for that pair. Every lowered path
+/// shares the interpreter's ALU/flag cores ([`crate::cpu::Cpu`]'s
+/// `alu_format_i`, `rotate_core`, `sxt_core`, `jump_taken`), so the
+/// semantics cannot diverge; only operand-location plumbing and the
+/// opcode dispatch are flattened away.
 #[derive(Debug, Clone, Copy)]
 pub enum ExecPlan {
     /// Format-I `op.size #imm, Rd` — bus-free, batchable.
-    AluImm { op: Opcode, size: Size, v: u16, dst: Reg },
+    AluImm { alu: AluOp, v: u16, dst: Reg },
     /// Format-I `op.size Rs, Rd` — bus-free, batchable.
-    AluReg { op: Opcode, size: Size, src: Reg, dst: Reg },
+    AluReg { alu: AluOp, src: Reg, dst: Reg },
     /// Any other Format-I instruction (at least one memory operand).
-    Alu { op: Opcode, size: Size, src: SrcPlan, dst: DstPlan },
+    Alu { alu: AluOp, src: SrcPlan, dst: DstPlan },
     /// Format-II RRA/RRC/SWPB/SXT on a register.
     Fmt2Reg { op: Opcode, size: Size, dst: Reg },
     /// PUSH of any operand.
@@ -164,6 +166,11 @@ pub struct Block {
     /// aggregate and worst-case suffix bound (one contiguous array keeps
     /// the dispatch loop on a single cache-line stream).
     pub instrs: Vec<DecodedInstr>,
+    /// Whether the block is an idle polling loop (see [`is_idle_loop`]):
+    /// one iteration changes nothing but SR, the hardware cache's
+    /// replacement state and the statistics, so the batched engine may
+    /// replicate iterations instead of executing them.
+    pub idle_loop: bool,
 }
 
 /// Static accounting aggregate for a run of consecutive *batchable*
@@ -257,18 +264,18 @@ fn is_batchable(di: &DecodedInstr) -> bool {
 
 /// Lowers an instruction's operand shape into its [`ExecPlan`] (see
 /// there). Falls back to [`ExecPlan::Generic`] for shapes with implicit
-/// stack traffic or that Format-I destinations cannot encode.
+/// stack traffic, that Format-I destinations cannot encode, or whose
+/// opcode is not Format I (the interpreter's error path).
 fn exec_plan(instr: &Instr) -> ExecPlan {
     match *instr {
-        Instr::FormatI { op, size, src: Operand::Imm(v), dst: Operand::Reg(d) } => {
-            ExecPlan::AluImm { op, size, v, dst: d }
-        }
-        Instr::FormatI { op, size, src: Operand::Reg(s), dst: Operand::Reg(d) } => {
-            ExecPlan::AluReg { op, size, src: s, dst: d }
-        }
         Instr::FormatI { op, size, src, dst } => {
+            let Some(alu) = AluOp::new(op, size) else { return ExecPlan::Generic };
             let d = match dst {
-                Operand::Reg(r) => DstPlan::Reg(r),
+                Operand::Reg(d) => match src {
+                    Operand::Imm(v) => return ExecPlan::AluImm { alu, v, dst: d },
+                    Operand::Reg(s) => return ExecPlan::AluReg { alu, src: s, dst: d },
+                    _ => DstPlan::Reg(d),
+                },
                 Operand::Indexed(x, r) => DstPlan::Idx(r, x),
                 Operand::Symbolic(a) | Operand::Absolute(a) => DstPlan::Abs(a),
                 // Not encodable as a Format-I destination; interpret.
@@ -276,7 +283,7 @@ fn exec_plan(instr: &Instr) -> ExecPlan {
                     return ExecPlan::Generic;
                 }
             };
-            ExecPlan::Alu { op, size, src: to_src_plan(src), dst: d }
+            ExecPlan::Alu { alu, src: to_src_plan(src), dst: d }
         }
         Instr::FormatII {
             op: op @ (Opcode::Rra | Opcode::Rrc | Opcode::Swpb | Opcode::Sxt),
@@ -397,7 +404,33 @@ pub fn build_block(bus: &Bus, start: u16) -> Option<Block> {
     let end = u32::from(last.pc) + 2 * u32::from(last.words);
     fill_runs(bus, &mut instrs);
     fill_worst_suffix(&mut instrs, bus.freq().fram_wait_cycles);
-    Some(Block { start, end, instrs })
+    let idle_loop = is_idle_loop(start, &instrs);
+    Some(Block { start, end, instrs, idle_loop })
+}
+
+/// Whether `instrs`, the block at `start`, is an idle polling loop such as
+/// `w: tst &flag; jz w`, `bit #1, &flag; jz w` or `jmp $`:
+///
+/// * its terminator is a jump back to `start`;
+/// * every other instruction is a CMP or BIT with no `@Rn+` source, so
+///   it writes no register but SR and stores nothing;
+/// * no fetch is replayed for the sanitizer ([`Plan::Replay`]).
+///
+/// Memory reads then see the same values every iteration, since nothing
+/// in the loop writes memory and the run loop's events (faults, timer
+/// fires) happen only between batches. So an iteration that starts from
+/// the SR and hardware-cache state the previous one started from repeats
+/// it exactly.
+fn is_idle_loop(start: u16, instrs: &[DecodedInstr]) -> bool {
+    let Some((last, body)) = instrs.split_last() else { return false };
+    let closes = matches!(last.exec, ExecPlan::Jmp { offset, .. }
+        if last.next_pc.wrapping_add(offset) == start);
+    closes
+        && instrs.iter().all(|di| di.plan != Plan::Replay)
+        && body.iter().all(|di| {
+            matches!(di.instr, Instr::FormatI { op: Opcode::Cmp | Opcode::Bit, src, .. }
+                if !matches!(src, Operand::IndirectInc(_)))
+        })
 }
 
 /// A safe upper bound on the cycles one execution of `di` can add to the

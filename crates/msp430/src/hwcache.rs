@@ -160,6 +160,35 @@ impl HwCache {
         self.stamps.fill(0);
         self.mru.fill(1);
     }
+
+    /// Copies the replacement state into `into`, allocating only when
+    /// `into` has never held a cache of this geometry.
+    pub fn save_state(&self, into: &mut CacheState) {
+        into.tags.clone_from(&self.tags);
+        into.stamps.clone_from(&self.stamps);
+        into.mru.clone_from(&self.mru);
+        into.tick = self.tick;
+    }
+
+    /// Whether the replacement state equals `saved`: the same accesses
+    /// from here hit and miss exactly as they did from there.
+    pub fn state_eq(&self, saved: &CacheState) -> bool {
+        self.tick == saved.tick
+            && self.tags == saved.tags
+            && self.mru == saved.mru
+            && self.stamps == saved.stamps
+    }
+}
+
+/// A copy of a cache's replacement state — tags, recency and the LRU
+/// clock — for [`HwCache::save_state`] and [`HwCache::state_eq`]. Saving
+/// into the same value again reuses its buffers.
+#[derive(Debug, Clone, Default)]
+pub struct CacheState {
+    tags: Vec<u32>,
+    stamps: Vec<u64>,
+    mru: Vec<u8>,
+    tick: u64,
 }
 
 impl Default for HwCache {
@@ -204,6 +233,20 @@ mod tests {
         c.access_read(0x4020); // evicts B
         assert!(c.access_read(0x4000), "A should have survived");
         assert!(!c.access_read(0x4010), "B should have been evicted");
+    }
+
+    #[test]
+    fn saved_state_compares_replacement_order() {
+        let mut c = HwCache::fr2355();
+        c.access_read(0x4000);
+        c.access_read(0x4010);
+        let mut saved = CacheState::default();
+        c.save_state(&mut saved);
+        assert!(c.state_eq(&saved));
+        c.access_read(0x4000); // a hit, but it changes the set's MRU way
+        assert!(!c.state_eq(&saved));
+        c.access_read(0x4010);
+        assert!(c.state_eq(&saved));
     }
 
     #[test]

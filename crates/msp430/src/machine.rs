@@ -243,6 +243,12 @@ impl Machine {
         if self.engine.is_some() { Engine::Predecoded } else { Engine::Interp }
     }
 
+    /// The pre-decoded engine and its counters, or `None` under the
+    /// interpreter.
+    pub fn block_engine(&self) -> Option<&BlockEngine> {
+        self.engine.as_deref()
+    }
+
     /// Attaches a per-function execution profiler (see
     /// [`crate::profile`]).
     pub fn attach_profiler(&mut self, profiler: Profiler) {

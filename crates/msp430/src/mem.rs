@@ -888,6 +888,30 @@ impl Bus {
         self.set_raw_word(addr & !1, value);
     }
 
+    /// Host-side write of `bytes` from `addr` on, wrapping at the top of
+    /// the address space, without accounting: the same memory, sanitizer
+    /// fill marks and code-barrier invalidations as one
+    /// [`Bus::poke_byte`] per byte, with one sanitizer note and one
+    /// code-barrier note per contiguous segment, as
+    /// [`Bus::load_image`] makes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` is as long as the address space.
+    pub fn poke_bytes(&mut self, addr: u16, bytes: &[u8]) {
+        assert!(bytes.len() < self.mem.len(), "poke of {} bytes overlaps itself", bytes.len());
+        let (mut at, mut rest) = (usize::from(addr), bytes);
+        while !rest.is_empty() {
+            let (seg, next) = rest.split_at(rest.len().min(self.mem.len() - at));
+            self.mem[at..at + seg.len()].copy_from_slice(seg);
+            if let Some(s) = &mut self.sanitizer {
+                s.note_write(at as u16, seg.len() as u16);
+            }
+            self.note_code_write(at as u16, seg.len() as u32);
+            (at, rest) = (0, next);
+        }
+    }
+
     /// Copies `image` into memory (host-side, no accounting).
     ///
     /// # Errors
@@ -1192,6 +1216,38 @@ mod tests {
         b.load_image(&img).unwrap();
         assert_eq!(b.stats().fram_accesses(), 0);
         assert_eq!(b.peek_word(0x4000), 0x55AA);
+    }
+
+    /// A bulk poke leaves the memory, sanitizer fill marks and barrier
+    /// invalidations of one poke per byte, across the top of the address
+    /// space too.
+    #[test]
+    fn poke_bytes_matches_per_byte_pokes() {
+        let sram = AddrRange::new(0x2000, 0x3000);
+        let cfg =
+            SanitizerConfig { exec: vec![sram], tracked: Some(sram), ..SanitizerConfig::default() };
+        let bytes: Vec<u8> = (1..=40).collect();
+        let (mut bulk, mut single) = (bus(Frequency::MHZ_8), bus(Frequency::MHZ_8));
+        for b in [&mut bulk, &mut single] {
+            b.attach_sanitizer(cfg.clone());
+            b.enable_code_watch();
+            b.code_watch_add(0x2ff0, 0x2ff4);
+        }
+        for at in [0x2ff0u16, 0xfff0] {
+            bulk.poke_bytes(at, &bytes);
+            for (i, &v) in bytes.iter().enumerate() {
+                single.poke_byte(at.wrapping_add(i as u16), v);
+            }
+        }
+        assert!((0..=0xffff).all(|a| bulk.peek_byte(a) == single.peek_byte(a)));
+        let fills = |b: &Bus| -> Vec<bool> {
+            (0x2000..0x3000).map(|pc| b.sanitizer().unwrap().can_skip_ifetch(pc, 1)).collect()
+        };
+        assert_eq!(fills(&bulk), fills(&single));
+        assert_eq!(bulk.peek_byte(0x0017), 40, "the second poke wraps to 0x0000");
+        let mut dirty = Vec::new();
+        bulk.drain_code_dirty(&mut dirty);
+        assert_eq!(dirty, vec![(0x2ff0, 40)], "one barrier note for the watched segment");
     }
 
     #[test]

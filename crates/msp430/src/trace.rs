@@ -167,6 +167,52 @@ impl Stats {
         self.unstalled_cycles += cycles;
     }
 
+    /// Adds `k` more copies of everything counted since `start`: the
+    /// statistics of `k` further iterations of a loop whose iteration
+    /// began at `start` and ended here, when every iteration is an exact
+    /// replica (see [`crate::blockcache::BlockEngine::step_batched`]).
+    /// The destructure is exhaustive, so a new counter cannot be left
+    /// unscaled.
+    pub fn repeat_since(&mut self, start: &Stats, k: u64) {
+        let Stats {
+            fram_ifetch,
+            fram_read,
+            fram_write,
+            sram_ifetch,
+            sram_read,
+            sram_write,
+            mmio_accesses,
+            unstalled_cycles,
+            wait_cycles,
+            contention_cycles,
+            hw_cache_hits,
+            hw_cache_misses,
+            irq_delivered,
+            irq_coalesced,
+            irq_latency_cycles,
+            instructions,
+        } = self;
+        let repeat = |now: &mut u64, then: u64| *now += k * (*now - then);
+        repeat(fram_ifetch, start.fram_ifetch);
+        repeat(fram_read, start.fram_read);
+        repeat(fram_write, start.fram_write);
+        repeat(sram_ifetch, start.sram_ifetch);
+        repeat(sram_read, start.sram_read);
+        repeat(sram_write, start.sram_write);
+        repeat(mmio_accesses, start.mmio_accesses);
+        repeat(unstalled_cycles, start.unstalled_cycles);
+        repeat(wait_cycles, start.wait_cycles);
+        repeat(contention_cycles, start.contention_cycles);
+        repeat(hw_cache_hits, start.hw_cache_hits);
+        repeat(hw_cache_misses, start.hw_cache_misses);
+        repeat(irq_delivered, start.irq_delivered);
+        repeat(irq_coalesced, start.irq_coalesced);
+        repeat(irq_latency_cycles, start.irq_latency_cycles);
+        for (now, then) in instructions.iter_mut().zip(start.instructions) {
+            repeat(now, then);
+        }
+    }
+
     /// Hardware-cache hit rate over FRAM reads, or `None` if there were no
     /// cacheable accesses.
     pub fn hw_cache_hit_rate(&self) -> Option<f64> {
@@ -233,6 +279,23 @@ mod tests {
         assert_eq!(s.instructions_in(Category::Memcpy), 4);
         assert_eq!(s.unstalled_cycles, 55);
         assert_eq!(s.total_instructions(), 14);
+    }
+
+    #[test]
+    fn repeat_since_scales_every_counter() {
+        let mut start = Stats::new();
+        start.fram_read = 7;
+        start.instructions = [1, 2, 3, 4];
+        let mut s = start.clone();
+        s.fram_read += 2;
+        s.wait_cycles += 3;
+        s.instructions[1] += 5;
+        s.repeat_since(&start, 10);
+        let mut want = start.clone();
+        want.fram_read += 22;
+        want.wait_cycles += 33;
+        want.instructions[1] += 55;
+        assert_eq!(s, want);
     }
 
     #[test]
